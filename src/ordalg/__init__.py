@@ -8,8 +8,7 @@ approximation and interpolation procedures, and the positive-cone
 functors, each with machine-checkable certificates.
 """
 
-from .approx import (ClosednessReport, DieudonneTrace, FamilyMember,
-                     SWCertificate, closed_iff_skeleton_closed,
+from .approx import (DieudonneTrace, FamilyMember, SWCertificate, SWGrid,
                      dieudonne_claim, dieudonne_sequence, sw_approximate)
 from .errors import (AntisymmetryViolation, CarrierMismatch, EmptyCarrier,
                      NoApproximantWithinTolerance, NonPositiveEpsilon,

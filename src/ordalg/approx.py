@@ -13,10 +13,14 @@ F_r = {f >= r} the piece
 downset) satisfies r <= a_{r,y} <= s, equals r at y and s on F_r, and
 dominates f.  One piece is chosen per carrier point, with r the smallest
 grid value above f at that point, and a is the meet of the chosen pieces.
-The grid steps by eps/2 above min f, which makes the chosen r land within
-eps of f pointwise; the attained values of f and the top value s are kept
-in the grid as well.  The returned certificate carries every constructed
-piece so the inequalities above can be re-checked verbatim.
+The grid is the ladder min f + k*eps/2 up to s, which makes the chosen r
+land within eps of f pointwise, plus the attained values of f (s among
+them) that are off the ladder.  It is held as (bottom, step, top) and the
+off-ladder values, so each r is found in closed form and the work per
+call does not grow with range/eps.  The returned certificate carries the
+grid, which answers size, membership and the next member above a value,
+and every constructed piece, so the inequalities above can be re-checked
+verbatim.
 
 :func:`dieudonne_claim` interpolates: given f totally below g (possibly
 only through a stream of approximant pairs) and a radius r, it returns a
@@ -39,12 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (
-    CarrierMismatch,
-    NoApproximantWithinTolerance,
-    NonPositiveEpsilon,
-)
-from .fnalg import RationalFn, SubalgebraPartition, as_fraction
+from .errors import NoApproximantWithinTolerance, NonPositiveEpsilon
+from .fnalg import RationalFn, as_fraction
 from .order import require_monotone
 from .proximity import ProximityOracle
 from .sbal import SbalSkeleton
@@ -63,13 +63,51 @@ class FamilyMember:
     upset: tuple
 
 
+@dataclass(frozen=True)
+class SWGrid:
+    """The grid the levels r are chosen from, held in closed form.
+
+    Its members are the ladder bottom + k*step for k >= 1 up to top, and
+    ``off_ladder``: the sorted attained values in (bottom, top], top among
+    them, that are not on the ladder.  Size, membership and the next member
+    above a value are computed without listing the ladder.
+    """
+
+    bottom: Fraction
+    step: Fraction
+    top: Fraction
+    off_ladder: Tuple[Fraction, ...]
+
+    @classmethod
+    def from_values(cls, values: Sequence[Fraction], epsilon: Fraction) -> SWGrid:
+        bottom, step = min(values), epsilon / 2
+        off = {v for v in values if (v - bottom) % step}
+        return cls(bottom, step, max(values), tuple(sorted(off)))
+
+    def __len__(self) -> int:
+        return (self.top - self.bottom) // self.step + len(self.off_ladder)
+
+    def __contains__(self, value) -> bool:
+        return value in self.off_ladder or (
+            self.bottom < value <= self.top and not (value - self.bottom) % self.step)
+
+    def above(self, value) -> Fraction:
+        """The least member strictly greater than value, which must be below top."""
+        if value >= self.top:
+            raise ValueError(f"no grid member lies above {value}")
+        k = max((value - self.bottom) // self.step + 1, 1)
+        i = bisect_right(self.off_ladder, value)
+        return min(self.bottom + k * self.step,
+                   self.off_ladder[i] if i < len(self.off_ladder) else self.top)
+
+
 @dataclass
 class SWCertificate:
     """Approximant plus everything needed to re-check it from scratch."""
 
     approximant: RationalFn
     epsilon: Fraction
-    grid: tuple
+    grid: SWGrid
     family: Tuple[FamilyMember, ...]
     cover: tuple
 
@@ -85,19 +123,6 @@ class SWCertificate:
                 "cover": [[x, i] for x, i in self.cover]}
 
 
-def _sw_grid(values: Sequence[Fraction], epsilon: Fraction) -> List[Fraction]:
-    """Attained values and the eps/2 ladder, clipped to (min, max], plus max."""
-    top, bottom = max(values), min(values)
-    grid = {v for v in values if bottom < v <= top}
-    step = epsilon / 2
-    k = 1
-    while bottom + k * step <= top:
-        grid.add(bottom + k * step)
-        k += 1
-    grid.add(top)
-    return sorted(grid)
-
-
 def sw_approximate(f: RationalFn, skeleton: SbalSkeleton, epsilon) -> SWCertificate:
     """A cone member within epsilon of f, in the uniform norm, with certificate.
 
@@ -110,11 +135,11 @@ def sw_approximate(f: RationalFn, skeleton: SbalSkeleton, epsilon) -> SWCertific
     order = skeleton.order
     require_monotone(f, order)
 
+    grid = SWGrid.from_values([f.values[x] for x in order.elements], epsilon)
     if f.is_constant():
-        return SWCertificate(f, epsilon, (), (), ())
+        return SWCertificate(f, epsilon, grid, (), ())
 
     top = f.max_value()
-    grid = _sw_grid([f.values[x] for x in order.elements], epsilon)
 
     family: List[FamilyMember] = []
     index: dict = {}
@@ -133,7 +158,7 @@ def sw_approximate(f: RationalFn, skeleton: SbalSkeleton, epsilon) -> SWCertific
     for x in order.elements:
         value = f.values[x]
         if value < top:
-            r = grid[bisect_right(grid, value)]
+            r = grid.above(value)
             cover.append((x, member(r, x)))
         else:
             y = next(z for z in order.elements if f.values[z] < top)
@@ -143,7 +168,7 @@ def sw_approximate(f: RationalFn, skeleton: SbalSkeleton, epsilon) -> SWCertific
     for _, i in cover[1:]:
         approximant = approximant.meet(family[i].fn)
 
-    return SWCertificate(approximant, epsilon, tuple(grid), tuple(family), tuple(cover))
+    return SWCertificate(approximant, epsilon, grid, tuple(family), tuple(cover))
 
 
 def _default_stream(f: RationalFn, g: RationalFn) -> List[tuple]:
@@ -246,46 +271,3 @@ def dieudonne_sequence(f: RationalFn, g: RationalFn, oracle: ProximityOracle,
     if oracle.decide(f, g):
         witness = oracle.witness(f).meet(g)
     return DieudonneTrace(f, g, tuple(terms), witness)
-
-
-@dataclass
-class ClosednessReport:
-    """Topological closedness of a subalgebra and of its reflexive cone."""
-
-    algebra_closed: bool
-    skeleton_closed: bool
-    algebra_reason: str
-    skeleton_reason: str
-
-    @property
-    def agree(self) -> bool:
-        return self.algebra_closed == self.skeleton_closed
-
-    def to_dict(self) -> dict:
-        return {"algebra_closed": self.algebra_closed,
-                "skeleton_closed": self.skeleton_closed,
-                "agree": self.agree,
-                "algebra_reason": self.algebra_reason,
-                "skeleton_reason": self.skeleton_reason}
-
-
-def closed_iff_skeleton_closed(algebra: SubalgebraPartition,
-                               oracle: ProximityOracle) -> ClosednessReport:
-    """Both closedness checks; on a finite carrier both are structural.
-
-    A block algebra is the solution set of finitely many value equalities
-    f(u) = f(v) over its blocks, and a reflexive cone of either built-in
-    oracle kind is the solution set of finitely many weak inequalities
-    f(x) <= f(y); both kinds of solution sets are closed in the
-    finite-dimensional function space, so each verdict is forced by the
-    presentation rather than computed from samples.  They are still
-    reported separately so the agreement stays an observable fact.
-    """
-    if set(algebra.carrier) != set(oracle.carrier):
-        raise CarrierMismatch("algebra carrier differs from the oracle carrier",
-                              {"algebra": list(algebra.carrier),
-                               "oracle": list(oracle.carrier)})
-    return ClosednessReport(
-        True, True,
-        "finite intersection of agreement hyperplanes f(u) = f(v)",
-        "finite intersection of closed half-spaces f(x) <= f(y)")

@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="root seed for all sampling (default %(default)s)")
     common.add_argument("--samples", type=int, default=1000,
-                        help="sample count for randomized checks (default %(default)s)")
+                        help="sample count for randomized checks, at least 1 "
+                             "(default %(default)s)")
     common.add_argument("--expect-quasi", dest="expect_quasi", action="store_true",
                         help="treat an antisymmetry failure as the expected outcome")
 
@@ -463,6 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.samples <= 0:
+            raise _InputError("--samples must be a positive count",
+                              {"samples": args.samples})
         return args.handler(args)
     except _InputError as exc:
         _emit([f"error: {exc}"], {"error": str(exc), "details": exc.details})

@@ -1,13 +1,15 @@
 """Approximation certificates and interpolation traces."""
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ordalg import (CarrierMismatch, FinitePoset, NoApproximantWithinTolerance,
+from ordalg import (FinitePoset, NoApproximantWithinTolerance,
                     NonPositiveEpsilon, NotMonotone, ProximityOracle,
-                    RationalFn, SbalSkeleton, SubalgebraPartition, chain,
-                    closed_iff_skeleton_closed, dieudonne_claim,
+                    RationalFn, SbalSkeleton, SWGrid, chain, dieudonne_claim,
                     dieudonne_sequence, random_poset, sw_approximate)
 from ordalg.order import is_monotone, monotone_envelope
 from ordalg.rng import rng_for, sample_values
@@ -60,6 +62,55 @@ def test_sw_bound_and_membership():
         assert f.le(cert.approximant)
         assert (cert.approximant - f).sup_norm() <= eps
         check_family(cert, f, order)
+
+
+def reference_grid(values, epsilon):
+    """The materialized grid: attained values and the eps/2 ladder in (min, max], plus max."""
+    top, bottom = max(values), min(values)
+    grid = {v for v in values if bottom < v <= top}
+    step = epsilon / 2
+    k = 1
+    while bottom + k * step <= top:
+        grid.add(bottom + k * step)
+        k += 1
+    grid.add(top)
+    return sorted(grid)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(numerators=st.lists(st.integers(-20, 20), min_size=2, max_size=6),
+       denominator=st.integers(1, 8),
+       eps=st.fractions(min_value=Fraction(1, 64), max_value=8))
+def test_sw_grid_matches_reference(numerators, denominator, eps):
+    values = [Fraction(k, denominator) for k in numerators]
+    bottom, top = min(values), max(values)
+    assume(bottom < top and (top - bottom) / eps <= 2000)
+    ref = reference_grid(values, eps)
+    grid = SWGrid.from_values(values, eps)
+    assert len(grid) == len(ref)
+    assert all(r in grid for r in ref)
+    # Probe each gap between consecutive members, and the gap below the
+    # first, at its left end and at its midpoint, which is no member.
+    for lo, hi in zip([bottom] + ref[:-1], ref):
+        mid = (lo + hi) / 2
+        assert mid not in grid
+        for v in (lo, mid):
+            assert grid.above(v) == ref[bisect_right(ref, v)]
+    assert bottom not in grid
+    with pytest.raises(ValueError):
+        grid.above(top)
+
+
+def test_sw_work_does_not_grow_with_range_over_eps():
+    """A 2-chain from -2 to 2 at eps = 1/100000: an 800,000-entry grid, two pieces."""
+    skel = SbalSkeleton(chain("pq"))
+    f = RationalFn("pq", {"p": -2, "q": 2})
+    eps = Fraction(1, 100000)
+    cert = sw_approximate(f, skel, eps)
+    assert cert.family_size == 2
+    assert len(cert.grid) == 800000
+    assert f.le(cert.approximant) and (cert.approximant - f).sup_norm() <= eps
+    check_family(cert, f, skel.order)
 
 
 def test_sw_rejects_bad_inputs():
@@ -164,11 +215,3 @@ def test_trace_serialization():
     assert doc["steps"] == 3
     assert doc["violations"] == []
     assert doc["limit_witness"] is not None
-
-
-def test_closedness_report():
-    oracle = ProximityOracle.from_order(chain("ab"))
-    report = closed_iff_skeleton_closed(SubalgebraPartition.discrete("ab"), oracle)
-    assert report.algebra_closed and report.skeleton_closed and report.agree
-    with pytest.raises(CarrierMismatch):
-        closed_iff_skeleton_closed(SubalgebraPartition.discrete("xy"), oracle)

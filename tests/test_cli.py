@@ -198,6 +198,25 @@ def test_sw_approx_rejects_zero_eps(docs):
     assert res.returncode == 2
 
 
+def test_sw_approx_work_does_not_grow_with_range_over_eps(docs):
+    f = {"carrier": ["p", "q"], "values": {"p": "-2", "q": "2"}}
+    res = run("sw-approx", "--poset", docs("chain2.json", CHAIN2),
+              "--function", docs("f.json", f), "--eps", "1/100000")
+    assert res.returncode == 0
+    assert payload(res.stdout)["certificate"]["grid_size"] == 800000
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_nonpositive_samples_is_input_error(docs, count):
+    for args in (("axioms", "--oracle", "r2"),
+                 ("roundtrip", "--poset", docs("chain2.json", CHAIN2)),
+                 ("validate", "--poset", docs("chain2.json", CHAIN2))):
+        res = run(*args, "--samples", count)
+        assert res.returncode == 2
+        assert res.stdout.startswith("error: --samples must be a positive count")
+        assert "PASS" not in res.stdout
+
+
 def test_dieudonne_bounds_hold(docs):
     res = run("dieudonne", "--oracle", "r2", "--steps", "4",
               "--left", docs("f.json", R2_ZERO), "--right", docs("g.json", R2_ONE))
