@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import NoApproximantWithinTolerance, NonPositiveEpsilon
+from .errors import NoApproximantWithinTolerance, NonPositiveEpsilon, TooLargeToEnumerate
 from .fnalg import RationalFn, as_fraction
 from .order import require_monotone
 from .proximity import ProximityOracle
@@ -241,6 +241,11 @@ class DieudonneTrace:
                                   if self.limit_witness is not None else None)}
 
 
+# Term n of a trace carries denominators of 2^n, so a report grows about
+# quadratically with the step count; longer traces are refused.
+DIEUDONNE_STEP_CAP = 256
+
+
 def dieudonne_sequence(f: RationalFn, g: RationalFn, oracle: ProximityOracle,
                        steps: int, stream: Optional[Sequence] = None) -> DieudonneTrace:
     """Iterate the interpolation claim with dyadically shrinking radii.
@@ -253,6 +258,9 @@ def dieudonne_sequence(f: RationalFn, g: RationalFn, oracle: ProximityOracle,
     """
     if steps < 1:
         raise NonPositiveEpsilon("need at least one step", {"steps": steps})
+    if steps > DIEUDONNE_STEP_CAP:
+        raise TooLargeToEnumerate(f"a trace is capped at {DIEUDONNE_STEP_CAP} steps",
+                                  {"steps": steps, "cap": DIEUDONNE_STEP_CAP})
     a1 = dieudonne_claim(f, g, oracle, Fraction(1, 2), stream)
     terms = [a1, a1]
     for m in range(1, steps):

@@ -26,7 +26,7 @@ import json
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .approx import dieudonne_sequence, sw_approximate
+from .approx import DIEUDONNE_STEP_CAP, dieudonne_sequence, sw_approximate
 from .errors import (CarrierMismatch, EmptyCarrier, NonPositiveEpsilon,
                      OrdalgError, TooLargeToEnumerate, UnknownElement)
 from .fnalg import RationalFn, SubalgebraPartition
@@ -94,12 +94,20 @@ def _load_poset(path: str) -> FinitePoset:
     return _order_from_doc(_load_doc(path), antisymmetric=True)
 
 
-def _load_function(path: str) -> RationalFn:
+def _load_function(path: str, carrier: Optional[tuple] = None) -> RationalFn:
+    """Load a function document.
+
+    A function whose labels are a permutation of ``carrier`` is reindexed
+    onto it, so the label order of a document never changes a verdict.
+    """
     doc = _load_doc(path)
     try:
-        return RationalFn.from_dict(doc)
+        f = RationalFn.from_dict(doc)
     except (OrdalgError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"{path} is not a valid function document: {exc}") from exc
+    if carrier is not None and f.carrier != carrier and set(f.carrier) == set(carrier):
+        return RationalFn(carrier, f.values)
+    return f
 
 
 def _load_skeleton(path: str) -> SbalSkeleton:
@@ -151,6 +159,12 @@ def _algebra_from(args, carrier: tuple) -> SubalgebraPartition:
     return algebra
 
 
+def _samples(args) -> int:
+    if args.samples <= 0:
+        raise _InputError("--samples must be a positive count", {"samples": args.samples})
+    return args.samples
+
+
 def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
@@ -196,8 +210,8 @@ def cmd_envelope(args) -> int:
 
 def cmd_prox(args) -> int:
     oracle = _oracle_from(args)
-    a = _load_function(args.left)
-    b = _load_function(args.right)
+    a = _load_function(args.left, oracle.carrier)
+    b = _load_function(args.right, oracle.carrier)
     related, witness = prox_decide(oracle, a, b)
     payload = {"related": related, "left": a.to_dict(), "right": b.to_dict()}
     if related:
@@ -211,10 +225,11 @@ def cmd_prox(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    samples = _samples(args)
     oracle = _oracle_from(args)
-    prox_report = check_axioms(oracle, samples=args.samples, seed=args.seed,
+    prox_report = check_axioms(oracle, samples=samples, seed=args.seed,
                                include_devries=args.devries)
-    skel_report = check_skeleton_axioms(oracle.skeleton, samples=args.samples,
+    skel_report = check_skeleton_axioms(oracle.skeleton, samples=samples,
                                         seed=args.seed)
     lines = []
     failed = []
@@ -222,6 +237,10 @@ def cmd_axioms(args) -> int:
         for res in report.results:
             if res.name in DEVRIES_AXIOMS:
                 verdict = "holds" if res.passed else "counterexample found"
+            elif res.premise_hits == 0:
+                # A gated axiom whose premise never held was not checked.
+                verdict = "VACUOUS"
+                failed.append(res.name)
             else:
                 verdict = "PASS" if res.passed else "FAIL"
                 if not res.passed:
@@ -273,9 +292,10 @@ def cmd_induced_order(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    samples = _samples(args)
     space = _load_poset(args.poset)
     eta_report = eta(space)
-    phi_report = phi_respects_proximity(space, samples=args.samples, seed=args.seed)
+    phi_report = phi_respects_proximity(space, samples=samples, seed=args.seed)
     payload = {"eta": eta_report.to_dict(), "phi": phi_report.to_dict()}
     lines = [
         "eta order isomorphism: " + ("PASS" if eta_report.is_order_isomorphism else "FAIL"),
@@ -291,7 +311,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_sw_approx(args) -> int:
     skeleton = _skeleton_from(args)
-    f = _load_function(args.function)
+    f = _load_function(args.function, skeleton.carrier)
     epsilon = _parse_fraction(args.eps, "--eps")
     certificate = sw_approximate(f, skeleton, epsilon)
     error = (f - certificate.approximant).sup_norm()
@@ -307,8 +327,8 @@ def cmd_sw_approx(args) -> int:
 
 def cmd_dieudonne(args) -> int:
     oracle = _oracle_from(args)
-    f = _load_function(args.left)
-    g = _load_function(args.right)
+    f = _load_function(args.left, oracle.carrier)
+    g = _load_function(args.right, oracle.carrier)
     trace = dieudonne_sequence(f, g, oracle, args.steps)
     violations = trace.bound_violations()
     payload = {"trace": trace.to_dict()}
@@ -369,68 +389,81 @@ def _add_order_source(p: argparse.ArgumentParser) -> None:
     group.add_argument("--skeleton", metavar="FILE", help="skeleton document")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="root seed for all sampling (default %(default)s)")
-    common.add_argument("--samples", type=int, default=1000,
-                        help="sample count for randomized checks, at least 1 "
-                             "(default %(default)s)")
-    common.add_argument("--expect-quasi", dest="expect_quasi", action="store_true",
-                        help="treat an antisymmetry failure as the expected outcome")
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="root seed for all sampling (default %(default)s)")
 
+
+def _add_samples(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int, default=1000,
+                   help="sample count for randomized checks, at least 1 "
+                        "(default %(default)s)")
+
+
+def _add_expect_quasi(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--expect-quasi", dest="expect_quasi", action="store_true",
+                   help="treat an antisymmetry failure as the expected outcome")
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordalg",
         description="Exact duality toolkit for finite ordered spaces and "
                     "their function algebras.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate",
                        help="close an order document and check antisymmetry")
     p.add_argument("--poset", required=True, metavar="FILE")
+    _add_expect_quasi(p)
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("envelope", parents=[common],
+    p = sub.add_parser("envelope",
                        help="least/greatest cone member above/below a function")
     _add_order_source(p)
     p.add_argument("--function", required=True, metavar="FILE")
     p.add_argument("--direction", choices=("upper", "lower"), required=True)
     p.set_defaults(handler=cmd_envelope)
 
-    p = sub.add_parser("prox", parents=[common],
+    p = sub.add_parser("prox",
                        help="decide the proximity relation on two functions")
     _add_oracle_flags(p)
     p.add_argument("--left", required=True, metavar="FILE")
     p.add_argument("--right", required=True, metavar="FILE")
     p.set_defaults(handler=cmd_prox)
 
-    p = sub.add_parser("axioms", parents=[common],
+    p = sub.add_parser("axioms",
                        help="run the proximity and skeleton axiom suites")
     _add_oracle_flags(p)
     p.add_argument("--devries", action="store_true",
                    help="also probe the compingent axioms P11 and P12")
+    _add_seed(p)
+    _add_samples(p)
     p.set_defaults(handler=cmd_axioms)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum",
                        help="maximal ideals of a subalgebra")
     _add_oracle_flags(p)
     p.add_argument("--algebra", metavar="FILE",
                    help="algebra document (default: the full algebra)")
     p.set_defaults(handler=cmd_spectrum)
 
-    p = sub.add_parser("induced-order", parents=[common],
+    p = sub.add_parser("induced-order",
                        help="order the spectrum through the proximity")
     _add_oracle_flags(p)
     p.add_argument("--algebra", metavar="FILE",
                    help="algebra document (default: the full algebra)")
+    _add_expect_quasi(p)
     p.set_defaults(handler=cmd_induced_order)
 
-    p = sub.add_parser("roundtrip", parents=[common],
+    p = sub.add_parser("roundtrip",
                        help="verify the unit and evaluation maps on a space")
     p.add_argument("--poset", required=True, metavar="FILE")
+    _add_seed(p)
+    _add_samples(p)
     p.set_defaults(handler=cmd_roundtrip)
 
-    p = sub.add_parser("sw-approx", parents=[common],
+    p = sub.add_parser("sw-approx",
                        help="approximate a cone member from a separating family")
     _add_order_source(p)
     p.add_argument("--function", required=True, metavar="FILE")
@@ -438,22 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tolerance, a positive rational")
     p.set_defaults(handler=cmd_sw_approx)
 
-    p = sub.add_parser("dieudonne", parents=[common],
+    p = sub.add_parser("dieudonne",
                        help="interpolation sequence between a proximal pair")
     _add_oracle_flags(p)
     p.add_argument("--left", required=True, metavar="FILE")
     p.add_argument("--right", required=True, metavar="FILE")
-    p.add_argument("--steps", type=int, default=8, metavar="N")
+    p.add_argument("--steps", type=int, default=8, metavar="N",
+                   help=f"trace length, 1 to {DIEUDONNE_STEP_CAP} (default %(default)s)")
     p.set_defaults(handler=cmd_dieudonne)
 
-    p = sub.add_parser("adjunction", parents=[common],
+    p = sub.add_parser("adjunction",
                        help="match monotone maps with algebra morphisms")
     p.add_argument("--poset", required=True, metavar="FILE")
     p.add_argument("--skeleton", metavar="FILE",
                    help="target skeleton (default: the poset's own cone)")
+    _add_seed(p)
     p.set_defaults(handler=cmd_adjunction)
 
-    p = sub.add_parser("pq-roundtrip", parents=[common],
+    p = sub.add_parser("pq-roundtrip",
                        help="positive-cone functor roundtrip on a value grid")
     _add_order_source(p)
     p.set_defaults(handler=cmd_pq_roundtrip)
@@ -464,9 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.samples <= 0:
-            raise _InputError("--samples must be a positive count",
-                              {"samples": args.samples})
         return args.handler(args)
     except _InputError as exc:
         _emit([f"error: {exc}"], {"error": str(exc), "details": exc.details})

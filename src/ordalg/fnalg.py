@@ -37,6 +37,16 @@ def as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _checked_carrier(carrier: Sequence[str]) -> tuple:
+    carrier = tuple(carrier)
+    if not carrier:
+        raise EmptyCarrier("a function needs a nonempty carrier")
+    if len(set(carrier)) != len(carrier):
+        raise UnknownElement("carrier labels must be distinct",
+                             {"carrier": list(carrier)})
+    return carrier
+
+
 class RationalFn:
     """A rational-valued function on a finite ordered carrier.
 
@@ -48,12 +58,7 @@ class RationalFn:
     __slots__ = ("carrier", "values")
 
     def __init__(self, carrier: Sequence[str], values: Mapping[str, Scalar]):
-        carrier = tuple(carrier)
-        if not carrier:
-            raise EmptyCarrier("a function needs a nonempty carrier")
-        if len(set(carrier)) != len(carrier):
-            raise UnknownElement("carrier labels must be distinct",
-                                 {"carrier": list(carrier)})
+        carrier = _checked_carrier(carrier)
         vals = {}
         for x in carrier:
             if x not in values:
@@ -66,13 +71,28 @@ class RationalFn:
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _make(cls, carrier: tuple, values: dict) -> "RationalFn":
+        """An instance from parts that are already valid; nothing is checked.
+
+        ``carrier`` must be the checked tuple of an existing function or
+        order, and ``values`` a dict of Fractions keyed in carrier order.
+        Derived values (arithmetic, lattice operations, envelopes) come
+        through here so that only the public constructors validate.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "carrier", carrier)
+        object.__setattr__(f, "values", values)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
     @classmethod
     def constant(cls, carrier: Sequence[str], value: Scalar) -> "RationalFn":
         r = as_fraction(value)
-        return cls(carrier, {x: r for x in carrier})
+        carrier = _checked_carrier(carrier)
+        return cls._make(carrier, dict.fromkeys(carrier, r))
 
     @classmethod
     def zero(cls, carrier: Sequence[str]) -> "RationalFn":
@@ -91,17 +111,22 @@ class RationalFn:
     def __getitem__(self, x: str) -> Fraction:
         return self(x)
 
-    def _coerce(self, other: Union["RationalFn", Scalar]) -> "RationalFn":
+    def _operand(self, other: Union["RationalFn", Scalar]) -> Union[dict, Fraction]:
+        """The values of a function on the same carrier, or a scalar as one Fraction."""
         if isinstance(other, RationalFn):
             if other.carrier != self.carrier:
                 raise CarrierMismatch("functions live on different carriers",
                                       {"left": list(self.carrier), "right": list(other.carrier)})
-            return other
-        return RationalFn.constant(self.carrier, other)
+            return other.values
+        return as_fraction(other)
 
     def _map2(self, other, op) -> "RationalFn":
-        g = self._coerce(other)
-        return RationalFn(self.carrier, {x: op(self.values[x], g.values[x]) for x in self.carrier})
+        g = self._operand(other)
+        if isinstance(g, dict):
+            values = {x: op(u, g[x]) for x, u in self.values.items()}
+        else:
+            values = {x: op(u, g) for x, u in self.values.items()}
+        return RationalFn._make(self.carrier, values)
 
     def __add__(self, other):
         return self._map2(other, lambda u, v: u + v)
@@ -112,7 +137,7 @@ class RationalFn:
         return self._map2(other, lambda u, v: u - v)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self._map2(other, lambda u, v: v - u)
 
     def __mul__(self, other):
         return self._map2(other, lambda u, v: u * v)
@@ -120,11 +145,11 @@ class RationalFn:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RationalFn(self.carrier, {x: -v for x, v in self.values.items()})
+        return RationalFn._make(self.carrier, {x: -v for x, v in self.values.items()})
 
     def scale(self, r: Scalar) -> "RationalFn":
         r = as_fraction(r)
-        return RationalFn(self.carrier, {x: r * v for x, v in self.values.items()})
+        return RationalFn._make(self.carrier, {x: r * v for x, v in self.values.items()})
 
     def join(self, other) -> "RationalFn":
         return self._map2(other, max)
@@ -134,11 +159,16 @@ class RationalFn:
 
     def le(self, other) -> bool:
         """Pointwise order: self(x) <= other(x) everywhere."""
-        g = self._coerce(other)
-        return all(self.values[x] <= g.values[x] for x in self.carrier)
+        g = self._operand(other)
+        if isinstance(g, dict):
+            return all(u <= g[x] for x, u in self.values.items())
+        return all(u <= g for u in self.values.values())
 
     def ge(self, other) -> bool:
-        return self._coerce(other).le(self)
+        g = self._operand(other)
+        if isinstance(g, dict):
+            return all(u >= g[x] for x, u in self.values.items())
+        return all(u >= g for u in self.values.values())
 
     def pos_part(self) -> "RationalFn":
         return self.join(0)

@@ -202,7 +202,7 @@ def complete_quasi_order(labels: Sequence[str]) -> QuasiOrder:
 
 
 def _check_carrier(f: RationalFn, order: QuasiOrder) -> None:
-    if set(f.carrier) != set(order.elements):
+    if f.carrier != order.elements and set(f.carrier) != set(order.elements):
         raise CarrierMismatch("function carrier differs from the order's carrier",
                               {"function": list(f.carrier), "order": list(order.elements)})
 
@@ -210,7 +210,8 @@ def _check_carrier(f: RationalFn, order: QuasiOrder) -> None:
 def is_monotone(f: RationalFn, order: QuasiOrder) -> bool:
     """Membership of f in the monotone cone of the order."""
     _check_carrier(f, order)
-    return all(f.values[x] <= f.values[y] for x, y in order.pairs)
+    values = f.values
+    return all(values[x] <= values[y] for x, y in order._leq)
 
 
 def require_monotone(f: RationalFn, order: QuasiOrder) -> None:
@@ -231,13 +232,14 @@ def monotone_envelope(f: RationalFn, order: QuasiOrder, direction: str = "upper"
     membership test used by the skeleton proximity oracle.
     """
     _check_carrier(f, order)
+    fv = f.values
     if direction == "upper":
-        values = {x: max(f.values[y] for y in order.downset(x)) for x in order.elements}
+        values = {x: max(fv[y] for y in down) for x, down in order._down.items()}
     elif direction == "lower":
-        values = {x: min(f.values[y] for y in order.upset(x)) for x in order.elements}
+        values = {x: min(fv[y] for y in up) for x, up in order._up.items()}
     else:
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    return RationalFn(order.elements, values)
+    return RationalFn._make(order.elements, values)
 
 
 def block_label(block: Sequence[str]) -> str:

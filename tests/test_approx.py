@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from ordalg import (FinitePoset, NoApproximantWithinTolerance,
                     NonPositiveEpsilon, NotMonotone, ProximityOracle,
-                    RationalFn, SbalSkeleton, SWGrid, chain, dieudonne_claim,
-                    dieudonne_sequence, random_poset, sw_approximate)
+                    RationalFn, SbalSkeleton, SWGrid, TooLargeToEnumerate,
+                    chain, dieudonne_claim, dieudonne_sequence, random_poset,
+                    sw_approximate)
+from ordalg.approx import DIEUDONNE_STEP_CAP
 from ordalg.order import is_monotone, monotone_envelope
+from ordalg.proximity import R2_CARRIER
 from ordalg.rng import rng_for, sample_values
 
 VEE = FinitePoset("abc", [("a", "c"), ("b", "c")])
@@ -215,3 +218,14 @@ def test_trace_serialization():
     assert doc["steps"] == 3
     assert doc["violations"] == []
     assert doc["limit_witness"] is not None
+
+
+def test_dieudonne_step_cap():
+    oracle = ProximityOracle.r2()
+    f = RationalFn.constant(R2_CARRIER, 0)
+    g = RationalFn.constant(R2_CARRIER, 1)
+    trace = dieudonne_sequence(f, g, oracle, DIEUDONNE_STEP_CAP)
+    assert trace.steps == DIEUDONNE_STEP_CAP and not trace.bound_violations()
+    with pytest.raises(TooLargeToEnumerate) as err:
+        dieudonne_sequence(f, g, oracle, DIEUDONNE_STEP_CAP + 1)
+    assert err.value.details == {"steps": DIEUDONNE_STEP_CAP + 1, "cap": DIEUDONNE_STEP_CAP}

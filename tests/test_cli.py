@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from ordalg.approx import DIEUDONNE_STEP_CAP
 from ordalg.cli import main
 
 CHAIN2 = {"elements": ["p", "q"], "leq": [["p", "q"]]}
@@ -209,12 +210,54 @@ def test_sw_approx_work_does_not_grow_with_range_over_eps(docs):
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_nonpositive_samples_is_input_error(docs, count):
     for args in (("axioms", "--oracle", "r2"),
-                 ("roundtrip", "--poset", docs("chain2.json", CHAIN2)),
-                 ("validate", "--poset", docs("chain2.json", CHAIN2))):
+                 ("roundtrip", "--poset", docs("chain2.json", CHAIN2))):
         res = run(*args, "--samples", count)
         assert res.returncode == 2
         assert res.stdout.startswith("error: --samples must be a positive count")
         assert "PASS" not in res.stdout
+
+
+def test_flags_belong_to_the_commands_that_read_them(docs):
+    chain2 = docs("chain2.json", CHAIN2)
+    for args in (("spectrum", "--oracle", "r2", "--samples", "7"),
+                 ("spectrum", "--oracle", "r2", "--seed", "3"),
+                 ("validate", "--poset", chain2, "--samples", "1"),
+                 ("adjunction", "--poset", chain2, "--samples", "5"),
+                 ("prox", "--oracle", "r2", "--left", docs("f.json", R2_ZERO),
+                  "--right", docs("g.json", R2_ONE), "--expect-quasi")):
+        res = run(*args)
+        assert res.returncode == 2
+        assert "unrecognized arguments" in res.stderr
+        assert res.stdout == ""
+    assert run("adjunction", "--poset", chain2, "--seed", "5").returncode == 0
+    assert run("roundtrip", "--poset", chain2, "--samples", "20", "--seed", "5").returncode == 0
+
+
+def test_vacuous_gated_axioms_fail():
+    res = run("axioms", "--oracle", "r2", "--samples", "1")
+    assert res.returncode == 1
+    lines = res.stdout.splitlines()
+    for name in ("P2", "P6", "P7"):
+        assert f"{name}: VACUOUS (0/1 premise hits)" in lines
+    assert "axioms: FAIL (P2, P6, P7)" in lines
+    body = payload(res.stdout)
+    assert body["failed"] == ["P2", "P6", "P7"]
+    assert set(body) == {"proximity", "skeleton", "failed"}
+
+
+def test_vacuous_devries_probes_do_not_gate():
+    res = run("axioms", "--oracle", "r2", "--samples", "1", "--seed", "3", "--devries")
+    assert res.returncode == 1
+    assert payload(res.stdout)["failed"] == ["P3", "P4"]
+    assert "P11: holds (0/1 premise hits)" in res.stdout.splitlines()
+
+
+def test_dieudonne_steps_above_cap_is_input_error(docs):
+    res = run("dieudonne", "--oracle", "r2", "--steps", str(DIEUDONNE_STEP_CAP + 1),
+              "--left", docs("f.json", R2_ZERO), "--right", docs("g.json", R2_ONE))
+    assert res.returncode == 2
+    assert payload(res.stdout)["details"] == {"steps": DIEUDONNE_STEP_CAP + 1,
+                                              "cap": DIEUDONNE_STEP_CAP}
 
 
 def test_dieudonne_bounds_hold(docs):
@@ -246,3 +289,31 @@ def test_carrier_mismatch_is_input_error(docs):
     res = run("prox", "--oracle", "r2",
               "--left", docs("f.json", F01), "--right", docs("g.json", R2_ONE))
     assert res.returncode == 2
+
+
+F01_PERMUTED = {"carrier": ["q", "p"], "values": {"q": "1", "p": "0"}}
+F12 = {"carrier": ["p", "q"], "values": {"p": "1", "q": "2"}}
+FM10 = {"carrier": ["p", "q"], "values": {"p": "-1", "q": "0"}}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_prox_accepts_a_permuted_carrier_on_either_side(docs, side):
+    skel = docs("skel.json", SKEL)
+    permuted = docs("perm.json", F01_PERMUTED)
+    if side == "left":
+        pair, plain = (permuted, docs("g.json", F12)), (docs("f.json", F01), docs("g.json", F12))
+    else:
+        pair, plain = (docs("f.json", FM10), permuted), (docs("f.json", FM10), docs("g.json", F01))
+    res = run("prox", "--skeleton", skel, "--left", pair[0], "--right", pair[1])
+    assert res.returncode == 0
+    assert res.stdout == run("prox", "--skeleton", skel, "--left", plain[0],
+                             "--right", plain[1]).stdout
+
+
+def test_sw_approx_accepts_a_permuted_carrier(docs):
+    poset = docs("chain2.json", CHAIN2)
+    res = run("sw-approx", "--poset", poset, "--function", docs("perm.json", F01_PERMUTED),
+              "--eps", "1/4")
+    assert res.returncode == 0
+    assert res.stdout == run("sw-approx", "--poset", poset, "--function",
+                             docs("f.json", F01), "--eps", "1/4").stdout

@@ -1,13 +1,16 @@
 """Exact function arithmetic and closed subalgebras as partitions."""
 
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordalg import (CarrierMismatch, EmptyCarrier, NotBlockConstant,
                     RationalFn, SubalgebraPartition, UnknownElement,
-                    as_fraction, generate_closed_subalgebra, pos_neg_abs,
-                    sup_norm)
+                    as_fraction, chain, generate_closed_subalgebra,
+                    monotone_envelope, pos_neg_abs, sup_norm)
 from ordalg.rng import rng_for, sample_values
 
 CARRIER = ("p", "q", "r")
@@ -48,6 +51,66 @@ def test_constructor_validation():
         fn(p=0, q=1)
     with pytest.raises(UnknownElement):
         fn(p=0, q=1, r=2, s=3)
+
+
+def test_constant_validates_its_carrier():
+    with pytest.raises(EmptyCarrier):
+        RationalFn.constant((), 1)
+    with pytest.raises(UnknownElement):
+        RationalFn.constant(("p", "p"), 1)
+    assert RationalFn.constant(["q", "p"], "1/2") == RationalFn(("q", "p"), {"q": "1/2",
+                                                                         "p": "1/2"})
+
+
+RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+SCALARS = st.one_of(RATIONALS, st.integers(-5, 5), RATIONALS.map(str))
+
+
+def assert_same(got: RationalFn, want: RationalFn) -> None:
+    """Equal carrier, values (in carrier order, all Fractions), hash and document."""
+    assert got.carrier == want.carrier
+    assert list(got.values.items()) == list(want.values.items())
+    assert all(type(v) is Fraction for v in got.values.values())
+    assert hash(got) == hash(want)
+    assert got.to_dict() == want.to_dict()
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(carrier=st.permutations(CARRIER),
+       left=st.lists(RATIONALS, min_size=3, max_size=3),
+       right=st.one_of(st.lists(RATIONALS, min_size=3, max_size=3), SCALARS),
+       r=SCALARS)
+def test_derived_values_match_public_constructor(carrier, left, right, r):
+    """Every derived value equals the same value rebuilt through RationalFn(...)."""
+    carrier = tuple(carrier)
+    a = RationalFn(carrier, dict(zip(carrier, left)))
+    if isinstance(right, list):
+        b = RationalFn(carrier, dict(zip(carrier, right)))
+        bv = b.values
+    else:
+        b = right
+        bv = dict.fromkeys(carrier, as_fraction(right))
+
+    def ref(op, u=a.values, v=bv):
+        return RationalFn(list(carrier), {x: op(u[x], v[x]) for x in carrier})
+
+    cases = [(a + b, ref(operator.add)), (b + a, ref(operator.add, bv, a.values)),
+             (a - b, ref(operator.sub)), (b - a, ref(operator.sub, bv, a.values)),
+             (a * b, ref(operator.mul)), (b * a, ref(operator.mul, bv, a.values)),
+             (a.join(b), ref(max)), (a.meet(b), ref(min)),
+             (-a, RationalFn(list(carrier), {x: -a.values[x] for x in carrier})),
+             (a.scale(r), RationalFn(list(carrier),
+                                     {x: as_fraction(r) * a.values[x] for x in carrier})),
+             (RationalFn.constant(carrier, r), RationalFn(list(carrier), dict.fromkeys(
+                 carrier, r))),
+             (monotone_envelope(a, chain(carrier), "upper"),
+              RationalFn(list(carrier), {x: max(a.values[y] for y in carrier[:i + 1])
+                                         for i, x in enumerate(carrier)}))]
+    for got, want in cases:
+        assert_same(got, want)
+    assert a.le(b) == all(a.values[x] <= bv[x] for x in carrier)
+    assert a.ge(b) == all(a.values[x] >= bv[x] for x in carrier)
 
 
 def test_pointwise_ops_against_oracle():

@@ -91,3 +91,15 @@ def test_roundtrip_agrees_with_direct_membership():
 def test_roundtrip_cap():
     with pytest.raises(TooLargeToEnumerate):
         roundtrip_pq(SbalSkeleton(chain("pqrs")))
+
+
+def test_roundtrip_routes_are_independent(monkeypatch):
+    """A wrong decomposition route shows up: the grid compares two routes."""
+    monkeypatch.setattr("ordalg.sbal_plus.q_contains",
+                        lambda plus, m: plus.contains(m))   # the shift is dropped
+    report = roundtrip_pq(SbalSkeleton(chain("pq")))
+    assert report.identical is False
+    assert report.qp_mismatches
+    bad = report.qp_mismatches[0]
+    assert bad["direct"] is True and bad["qp"] is False
+    assert min(Fraction(v) for v in bad["fn"].values()) < 0
