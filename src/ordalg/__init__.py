@@ -16,28 +16,26 @@ from .errors import (AntisymmetryViolation, CarrierMismatch, EmptyCarrier,
                      NotMonotone, NotRepresentable, OrdalgError,
                      TooLargeToEnumerate, UnknownElement)
 from .fnalg import (RationalFn, SubalgebraPartition, as_fraction,
-                    generate_closed_subalgebra, pos_neg_abs, sup_norm)
+                    check_carrier, generate_closed_subalgebra)
 from .order import (FinitePoset, QuasiOrder, antichain, antisymmetrize,
                     chain, complete_quasi_order, enumerate_monotone_maps,
                     enumerate_posets, is_monotone, linear_extension,
                     monotone_envelope, posets_up_to, random_poset,
-                    require_monotone, validate_order)
+                    require_monotone)
 from .proximity import (ProximityOracle, check_axioms, combined_order,
                         is_nachbin, positive_below, prox_decide, r2_decide,
                         relative_skeleton, separation_point)
 from .rng import DEFAULT_SEED, child_seed, rng_for
 from .sbal import (AxiomReport, AxiomResult, EnvelopePair, SbalSkeleton,
                    archimedean_premise, check_skeleton_axioms,
-                   concrete_envelope, difference_decompose, envelope_umt,
-                   epsilon_embed, scale_by_shift)
+                   concrete_envelope, difference_decompose, envelope_umt)
 from .sbal_plus import (PQRoundtripReport, SbalPlusSkeleton, positive_cone,
-                        q_contains, q_decompose, q_envelope, roundtrip_pq,
-                        shifted_join)
-from .spectrum import (AdjunctionReport, EtaReport, LIdeal, MaxIdeal,
-                       OrderedSpectrum, PhiReport, canonical_witness,
-                       dual_morphism, enumerate_adjunction, eta,
-                       induced_order, phi, phi_respects_proximity,
-                       point_ideal, recover_point_map, spectrum, thd)
+                        q_contains, q_decompose, roundtrip_pq)
+from .spectrum import (AdjunctionReport, EtaReport, MaxIdeal, OrderedSpectrum,
+                       PhiReport, canonical_witness, dual_morphism,
+                       enumerate_adjunction, eta, induced_order, phi,
+                       phi_respects_proximity, point_ideal, recover_point_map,
+                       spectrum)
 
 __version__ = "0.1.0"
 

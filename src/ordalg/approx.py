@@ -171,10 +171,6 @@ def sw_approximate(f: RationalFn, skeleton: SbalSkeleton, epsilon) -> SWCertific
     return SWCertificate(approximant, epsilon, grid, tuple(family), tuple(cover))
 
 
-def _default_stream(f: RationalFn, g: RationalFn) -> List[tuple]:
-    return [(f, g)]
-
-
 def dieudonne_claim(f: RationalFn, g: RationalFn, oracle: ProximityOracle, r,
                     stream: Optional[Iterable] = None) -> RationalFn:
     """A cone member a with f - r <= a <= g, from an approximant stream.
@@ -189,7 +185,7 @@ def dieudonne_claim(f: RationalFn, g: RationalFn, oracle: ProximityOracle, r,
     r = as_fraction(r)
     if r <= 0:
         raise NonPositiveEpsilon("the radius must be positive", {"radius": str(r)})
-    pairs = _default_stream(f, g) if stream is None else stream
+    pairs = [(f, g)] if stream is None else stream
     half = r / 2
     scanned = 0
     for fn, gn in itertools.islice(iter(pairs), STREAM_SCAN_LIMIT):

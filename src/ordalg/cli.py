@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 from .approx import DIEUDONNE_STEP_CAP, dieudonne_sequence, sw_approximate
 from .errors import (CarrierMismatch, EmptyCarrier, NonPositiveEpsilon,
                      OrdalgError, TooLargeToEnumerate, UnknownElement)
-from .fnalg import RationalFn, SubalgebraPartition
+from .fnalg import RationalFn, SubalgebraPartition, check_carrier
 from .order import FinitePoset, QuasiOrder, is_monotone, monotone_envelope
 from .proximity import (DEVRIES_AXIOMS, ProximityOracle, check_axioms,
                         is_nachbin, prox_decide, separation_point)
@@ -43,6 +43,10 @@ from .spectrum import (enumerate_adjunction, eta, induced_order,
 # mathematical statement is false.
 INPUT_ERRORS = (UnknownElement, EmptyCarrier, CarrierMismatch,
                 TooLargeToEnumerate, NonPositiveEpsilon)
+
+# A 10,000-sample axiom suite takes seconds, so larger counts are refused
+# rather than left to run for hours.
+SAMPLES_CAP = 100_000
 
 
 class _InputError(Exception):
@@ -94,20 +98,14 @@ def _load_poset(path: str) -> FinitePoset:
     return _order_from_doc(_load_doc(path), antisymmetric=True)
 
 
-def _load_function(path: str, carrier: Optional[tuple] = None) -> RationalFn:
-    """Load a function document.
-
-    A function whose labels are a permutation of ``carrier`` is reindexed
-    onto it, so the label order of a document never changes a verdict.
-    """
+def _load_function(path: str, carrier: tuple) -> RationalFn:
+    """Load a function document, read in the label order of ``carrier``."""
     doc = _load_doc(path)
     try:
         f = RationalFn.from_dict(doc)
     except (OrdalgError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"{path} is not a valid function document: {exc}") from exc
-    if carrier is not None and f.carrier != carrier and set(f.carrier) == set(carrier):
-        return RationalFn(carrier, f.values)
-    return f
+    return f.on(carrier)
 
 
 def _load_skeleton(path: str) -> SbalSkeleton:
@@ -122,8 +120,8 @@ def _load_skeleton(path: str) -> SbalSkeleton:
         if not gens:
             raise _InputError("a generator skeleton needs at least one function")
         carrier = gens[0].carrier
-        if any(g.carrier != carrier for g in gens):
-            raise _InputError("generators must share one carrier")
+        for g in gens:
+            check_carrier(g.carrier, carrier)
         pairs = [(x, y) for x in carrier for y in carrier
                  if all(g.values[x] <= g.values[y] for g in gens)]
         return SbalSkeleton(QuasiOrder(carrier, pairs))
@@ -153,15 +151,16 @@ def _algebra_from(args, carrier: tuple) -> SubalgebraPartition:
                                       tuple(tuple(b) for b in doc["blocks"]))
     except OrdalgError as exc:
         raise _InputError(str(exc), exc.details) from exc
-    if set(algebra.carrier) != set(carrier):
-        raise _InputError("algebra carrier differs from the oracle carrier",
-                          {"algebra": list(algebra.carrier), "oracle": list(carrier)})
-    return algebra
+    check_carrier(algebra.carrier, carrier)
+    return SubalgebraPartition(carrier, algebra.blocks)
 
 
 def _samples(args) -> int:
     if args.samples <= 0:
         raise _InputError("--samples must be a positive count", {"samples": args.samples})
+    if args.samples > SAMPLES_CAP:
+        raise TooLargeToEnumerate(f"--samples is capped at {SAMPLES_CAP}",
+                                  {"samples": args.samples, "cap": SAMPLES_CAP})
     return args.samples
 
 
@@ -199,7 +198,7 @@ def cmd_validate(args) -> int:
 
 def cmd_envelope(args) -> int:
     skeleton = _skeleton_from(args)
-    f = _load_function(args.function)
+    f = _load_function(args.function, skeleton.carrier)
     env = monotone_envelope(f, skeleton.order, args.direction)
     payload = {"direction": args.direction, "function": f.to_dict(),
                "envelope": env.to_dict(),
@@ -396,7 +395,7 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 def _add_samples(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=1000,
-                   help="sample count for randomized checks, at least 1 "
+                   help=f"sample count for randomized checks, 1 to {SAMPLES_CAP} "
                         "(default %(default)s)")
 
 

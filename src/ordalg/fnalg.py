@@ -15,6 +15,10 @@ each block of its partition.  :func:`generate_closed_subalgebra` computes
 the partition generated by a family of functions (the kernel partition),
 which is the coarsest partition on which every generator is block-constant
 and therefore presents the smallest closed subalgebra containing them.
+
+A carrier is a set of labels: two carriers match when they hold the same
+labels, in any order (:func:`check_carrier`), and a function is read in
+the carrier order of whatever receives it (:meth:`RationalFn.on`).
 """
 
 from __future__ import annotations
@@ -47,12 +51,21 @@ def _checked_carrier(carrier: Sequence[str]) -> tuple:
     return carrier
 
 
+def check_carrier(found: tuple, expected: tuple) -> None:
+    """Raise CarrierMismatch unless the two carriers hold the same labels."""
+    if found != expected and (len(found) != len(expected) or set(found) != set(expected)):
+        raise CarrierMismatch("carriers hold different labels",
+                              {"expected": list(expected), "found": list(found)})
+
+
 class RationalFn:
     """A rational-valued function on a finite ordered carrier.
 
     The carrier is a tuple of distinct labels; iteration and serialization
     follow the carrier order, so all derived output is deterministic.
-    Instances are treated as immutable.
+    Equality and hashing compare values label by label, so the carrier
+    order is not part of a function's identity.  Instances are treated as
+    immutable.
     """
 
     __slots__ = ("carrier", "values")
@@ -111,12 +124,21 @@ class RationalFn:
     def __getitem__(self, x: str) -> Fraction:
         return self(x)
 
+    def on(self, carrier: tuple) -> "RationalFn":
+        """This function listed in the label order of ``carrier``.
+
+        ``carrier`` is the carrier of an order, oracle or function and must
+        hold the same labels as this function's, in any order.
+        """
+        if carrier == self.carrier:
+            return self
+        check_carrier(self.carrier, carrier)
+        return RationalFn._make(carrier, {x: self.values[x] for x in carrier})
+
     def _operand(self, other: Union["RationalFn", Scalar]) -> Union[dict, Fraction]:
-        """The values of a function on the same carrier, or a scalar as one Fraction."""
+        """The values of a function on a matching carrier, or a scalar as one Fraction."""
         if isinstance(other, RationalFn):
-            if other.carrier != self.carrier:
-                raise CarrierMismatch("functions live on different carriers",
-                                      {"left": list(self.carrier), "right": list(other.carrier)})
+            check_carrier(other.carrier, self.carrier)
             return other.values
         return as_fraction(other)
 
@@ -194,10 +216,10 @@ class RationalFn:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self.carrier == other.carrier and self.values == other.values
+        return self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self.carrier, tuple(self.values[x] for x in self.carrier)))
+        return hash(frozenset(self.values.items()))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{x}: {v}" for x, v in self.values.items())
@@ -210,15 +232,6 @@ class RationalFn:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "RationalFn":
         return cls(tuple(doc["carrier"]), dict(doc["values"]))
-
-
-def pos_neg_abs(a: RationalFn):
-    """The triple (a+, a-, |a|).  Satisfies a = a+ - a- and |a| = a+ + a-."""
-    return a.pos_part(), a.neg_part(), abs(a)
-
-
-def sup_norm(a: RationalFn) -> Fraction:
-    return a.sup_norm()
 
 
 @dataclass(frozen=True)
@@ -275,9 +288,7 @@ class SubalgebraPartition:
 
     def contains(self, f: RationalFn) -> bool:
         """Membership: f lies in the subalgebra iff it is block-constant."""
-        if f.carrier != self.carrier:
-            raise CarrierMismatch("function carrier differs from subalgebra carrier",
-                                  {"function": list(f.carrier), "algebra": list(self.carrier)})
+        check_carrier(f.carrier, self.carrier)
         return all(len({f.values[x] for x in block}) == 1 for block in self.blocks)
 
     def require_member(self, f: RationalFn) -> None:
@@ -285,12 +296,6 @@ class SubalgebraPartition:
             bad = next(b for b in self.blocks if len({f.values[x] for x in b}) > 1)
             raise NotBlockConstant("function distinguishes points of a block",
                                    {"block": list(bad), "values": {x: str(f.values[x]) for x in bad}})
-
-    def refines(self, other: "SubalgebraPartition") -> bool:
-        """True iff every block of self lies inside a block of other."""
-        if self.carrier != other.carrier:
-            raise CarrierMismatch("partitions live on different carriers")
-        return all(set(b) <= set(other.block_of(b[0])) for b in self.blocks)
 
     def to_dict(self) -> dict:
         return {"carrier": list(self.carrier), "blocks": [list(b) for b in self.blocks]}
@@ -312,9 +317,7 @@ def generate_closed_subalgebra(generators: Iterable[RationalFn],
         carrier = gens[0].carrier
     carrier = tuple(carrier)
     for g in gens:
-        if g.carrier != carrier:
-            raise CarrierMismatch("generators live on different carriers",
-                                  {"expected": list(carrier), "found": list(g.carrier)})
+        check_carrier(g.carrier, carrier)
     classes: dict = {}
     for x in carrier:
         key = tuple(g.values[x] for g in gens)

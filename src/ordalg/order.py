@@ -5,8 +5,8 @@ transitive relation on it is automatically closed as a subset of the
 square, so a :class:`FinitePoset` is exactly a finite ordered compact
 space and a :class:`QuasiOrder` its non-antisymmetric generalization.
 Constructors take any generating relation and close it reflexively and
-transitively; :func:`validate_order` is the checked entry point used by
-the command line.
+transitively, and reject unknown labels; :class:`FinitePoset` also rejects
+two-way pairs.
 
 The order-theoretic core of the package lives here:
 
@@ -26,13 +26,12 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import (
     AntisymmetryViolation,
-    CarrierMismatch,
     EmptyCarrier,
     NotMonotone,
     TooLargeToEnumerate,
     UnknownElement,
 )
-from .fnalg import RationalFn
+from .fnalg import RationalFn, check_carrier
 
 Pair = Tuple[str, str]
 
@@ -146,10 +145,11 @@ class QuasiOrder:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiOrder):
             return NotImplemented
-        return self.elements == other.elements and self._leq == other._leq
+        # The closed relation holds every (x, x), so it determines the labels.
+        return self._leq == other._leq
 
     def __hash__(self) -> int:
-        return hash((self.elements, self._leq))
+        return hash(self._leq)
 
     def __repr__(self) -> str:
         strict = [(x, y) for x, y in self.sorted_pairs() if x != y]
@@ -172,19 +172,6 @@ class FinitePoset(QuasiOrder):
                     {"pair": [x, y]})
 
 
-def validate_order(elements: Sequence[str], pairs: Iterable[Pair],
-                   require_antisymmetry: bool = True):
-    """Close a generating relation and validate it.
-
-    Returns a :class:`FinitePoset` when antisymmetry is required, else a
-    :class:`QuasiOrder`.  Unknown labels and antisymmetry violations are
-    reported with the offending pair.
-    """
-    if require_antisymmetry:
-        return FinitePoset(elements, pairs)
-    return QuasiOrder(elements, pairs)
-
-
 def chain(labels: Sequence[str]) -> FinitePoset:
     """The total order with the given labels, smallest first."""
     labels = tuple(labels)
@@ -201,21 +188,15 @@ def complete_quasi_order(labels: Sequence[str]) -> QuasiOrder:
     return QuasiOrder(labels, [(x, y) for x in labels for y in labels])
 
 
-def _check_carrier(f: RationalFn, order: QuasiOrder) -> None:
-    if f.carrier != order.elements and set(f.carrier) != set(order.elements):
-        raise CarrierMismatch("function carrier differs from the order's carrier",
-                              {"function": list(f.carrier), "order": list(order.elements)})
-
-
 def is_monotone(f: RationalFn, order: QuasiOrder) -> bool:
     """Membership of f in the monotone cone of the order."""
-    _check_carrier(f, order)
+    check_carrier(f.carrier, order.elements)
     values = f.values
     return all(values[x] <= values[y] for x, y in order._leq)
 
 
 def require_monotone(f: RationalFn, order: QuasiOrder) -> None:
-    _check_carrier(f, order)
+    check_carrier(f.carrier, order.elements)
     for x, y in order.sorted_pairs():
         if f.values[x] > f.values[y]:
             raise NotMonotone(f"f({x!r}) > f({y!r}) although {x!r} <= {y!r}",
@@ -231,7 +212,7 @@ def monotone_envelope(f: RationalFn, order: QuasiOrder, direction: str = "upper"
     envelope equals f exactly when f is already monotone, which is the
     membership test used by the skeleton proximity oracle.
     """
-    _check_carrier(f, order)
+    check_carrier(f.carrier, order.elements)
     fv = f.values
     if direction == "upper":
         values = {x: max(fv[y] for y in down) for x, down in order._down.items()}

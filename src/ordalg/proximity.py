@@ -35,8 +35,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import rng as rngmod
-from .errors import CarrierMismatch
-from .fnalg import RationalFn, SubalgebraPartition, as_fraction
+from .fnalg import RationalFn, SubalgebraPartition, as_fraction, check_carrier
 from .order import QuasiOrder, complete_quasi_order, monotone_envelope
 from .sbal import AxiomReport, SbalSkeleton, _AxiomRun, _fn_doc
 
@@ -83,14 +82,9 @@ class ProximityOracle:
     def carrier(self) -> tuple:
         return self.skeleton.carrier
 
-    def _check(self, f: RationalFn) -> None:
-        if set(f.carrier) != set(self.carrier):
-            raise CarrierMismatch("function carrier differs from the oracle carrier",
-                                  {"function": list(f.carrier), "oracle": list(self.carrier)})
-
     def decide(self, a: RationalFn, b: RationalFn) -> bool:
-        self._check(a)
-        self._check(b)
+        check_carrier(a.carrier, self.carrier)
+        check_carrier(b.carrier, self.carrier)
         if self.kind == "r2":
             return r2_decide(tuple(a.values[x] for x in R2_CARRIER),
                              tuple(b.values[x] for x in R2_CARRIER))
@@ -98,12 +92,10 @@ class ProximityOracle:
 
     def witness(self, a: RationalFn) -> RationalFn:
         """The least cone member above a; interpolates whenever a prox b."""
+        check_carrier(a.carrier, self.carrier)
         if self.kind == "r2":
             return RationalFn.constant(self.carrier, a.max_value())
         return self.skeleton.envelope(a)
-
-    def skeleton_membership(self, a: RationalFn) -> bool:
-        return self.decide(a, a)
 
     def __repr__(self) -> str:
         return f"ProximityOracle({self.kind!r}, {self.skeleton.order!r})"
@@ -308,9 +300,7 @@ def combined_order(oracle: ProximityOracle, algebra: SubalgebraPartition) -> Qua
     both directions of every block, so that single quasi-order presents
     the relative cone.
     """
-    if set(algebra.carrier) != set(oracle.carrier):
-        raise CarrierMismatch("algebra carrier differs from the oracle carrier",
-                              {"algebra": list(algebra.carrier), "oracle": list(oracle.carrier)})
+    check_carrier(algebra.carrier, oracle.carrier)
     pairs = set(oracle.skeleton.order.pairs)
     for block in algebra.blocks:
         for u in block:
@@ -331,5 +321,5 @@ def is_nachbin(algebra: SubalgebraPartition, oracle: ProximityOracle) -> bool:
     of the combined order; on a finite carrier density is equality, which
     holds iff those classes are exactly the algebra's blocks.
     """
-    combined = combined_order(oracle, algebra)
-    return combined.equiv_blocks() == algebra.blocks
+    classes = combined_order(oracle, algebra).equiv_blocks()
+    return SubalgebraPartition(algebra.carrier, classes).blocks == algebra.blocks

@@ -104,23 +104,6 @@ class SbalSkeleton:
         return f"SbalSkeleton({self.order!r})"
 
 
-def scale_by_shift(skeleton: SbalSkeleton, a: RationalFn, r: Fraction) -> RationalFn:
-    """Nonnegative scaling of a possibly-negative member via a shift.
-
-    Products inside the cone are only defined between nonnegative members,
-    so r*a is computed as r(a+s) - rs for a shift s >= 0 making a+s
-    nonnegative.  The choice of s does not matter; the result is plain
-    pointwise scaling.
-    """
-    r = as_fraction(r)
-    if r < 0:
-        raise ValueError("shift scaling is defined for nonnegative scalars")
-    skeleton.require_member(a)
-    s = max(Fraction(0), -a.min_value())
-    shifted = (a + s).scale(r)
-    return shifted - r * s
-
-
 class EnvelopePair:
     """A formal difference of two skeleton members."""
 
@@ -219,17 +202,10 @@ class EnvelopePair:
         return self.pos + other.neg == other.pos + self.neg
 
     def __hash__(self) -> int:
-        d = self.diff()
-        return hash((self.skeleton, tuple(d.values[x] for x in d.carrier)))
+        return hash(self.diff())
 
     def __repr__(self) -> str:
         return f"EnvelopePair(pos={self.pos!r}, neg={self.neg!r})"
-
-
-def epsilon_embed(skeleton: SbalSkeleton, a: RationalFn) -> EnvelopePair:
-    """The canonical embedding a |-> [a, 0] of the cone into its envelope."""
-    skeleton.require_member(a)
-    return EnvelopePair(skeleton, a, skeleton.zero())
 
 
 def _vjoin(u, v):
@@ -289,9 +265,7 @@ def difference_decompose(skeleton: SbalSkeleton, h: RationalFn) -> Tuple[Rationa
         g = M * rank,  f = h + g,  M = (max h - min h) + 1.
     """
     order = skeleton.order
-    if set(h.carrier) != set(order.elements):
-        raise CarrierMismatch("function carrier differs from the skeleton carrier",
-                              {"function": list(h.carrier), "order": list(order.elements)})
+    h = h.on(order.elements)
     if skeleton.contains(h):
         return h, skeleton.zero()
     for block in order.equiv_blocks():

@@ -86,11 +86,6 @@ def positive_cone(skeleton: SbalSkeleton) -> SbalPlusSkeleton:
     return SbalPlusSkeleton(skeleton.order)
 
 
-def q_envelope(plus: SbalPlusSkeleton) -> SbalSkeleton:
-    """Q: close the positive cone under formal shifts a - r."""
-    return SbalSkeleton(plus.order)
-
-
 def q_decompose(plus: SbalPlusSkeleton, m: RationalFn) -> Tuple[RationalFn, Fraction]:
     """Write a signed member as a - r with a in the positive cone.
 
@@ -110,17 +105,6 @@ def q_contains(plus: SbalPlusSkeleton, m: RationalFn) -> bool:
     """Membership in the shift closure, decided through decomposition."""
     r = max(Fraction(0), -m.min_value())
     return plus.contains(m + r)
-
-
-def shifted_join(a: RationalFn, r, b: RationalFn, s) -> RationalFn:
-    """(a - r) v (b - s) computed entirely inside the positive cone.
-
-    Uses the identity (a - r) v (b - s) = ((a + s) v (b + r)) - (r + s),
-    whose right-hand side only ever subtracts a constant from a cone
-    member dominating it.
-    """
-    r, s = as_fraction(r), as_fraction(s)
-    return (a + s).join(b + r) - (r + s)
 
 
 @dataclass

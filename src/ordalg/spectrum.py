@@ -59,29 +59,6 @@ class MaxIdeal:
         return all(f.values[z] == 0 for z in self.block)
 
 
-@dataclass(frozen=True)
-class LIdeal:
-    """A lattice-algebra ideal of a block algebra: vanish on a zero set."""
-
-    carrier: tuple
-    zero_set: tuple
-
-    def __post_init__(self):
-        members = set(self.zero_set)
-        if not members <= set(self.carrier):
-            raise UnknownElement("zero set mentions labels outside the carrier",
-                                 {"zero_set": list(self.zero_set)})
-        object.__setattr__(self, "zero_set",
-                           tuple(z for z in self.carrier if z in members))
-
-    def contains(self, f: RationalFn) -> bool:
-        return all(f.values[z] == 0 for z in self.zero_set)
-
-    def subset_of(self, other: "LIdeal") -> bool:
-        # Vanishing on more points is the smaller ideal.
-        return set(other.zero_set) <= set(self.zero_set)
-
-
 def spectrum(algebra: SubalgebraPartition) -> Tuple[MaxIdeal, ...]:
     """One maximal ideal per block, in block order."""
     return tuple(MaxIdeal(block) for block in algebra.blocks)
@@ -101,16 +78,6 @@ def canonical_witness(order: QuasiOrder, block: tuple) -> RationalFn:
     down = set(order.downset_of(block))
     return RationalFn(order.elements,
                       {z: Fraction(0) if z in down else Fraction(1) for z in order.elements})
-
-
-def thd(oracle: ProximityOracle, algebra: SubalgebraPartition, ideal: LIdeal) -> LIdeal:
-    """The ideal generated by the nonnegative reflexive part of ``ideal``.
-
-    Concretely: functions vanishing on the downset of the zero set, in the
-    order presenting the reflexive cone inside the algebra.
-    """
-    order = combined_order(oracle, algebra)
-    return LIdeal(ideal.carrier, order.downset_of(ideal.zero_set))
 
 
 @dataclass
@@ -264,14 +231,10 @@ class SpectralMap:
 
     point_map: Dict[str, str]
     dual_map: Dict[str, str]
-    order_preserving: bool
-    skeleton_preserving: bool
 
     def to_dict(self) -> dict:
         return {"point_map": dict(sorted(self.point_map.items())),
-                "dual_map": dict(sorted(self.dual_map.items())),
-                "order_preserving": self.order_preserving,
-                "skeleton_preserving": self.skeleton_preserving}
+                "dual_map": dict(sorted(self.dual_map.items()))}
 
 
 def apply_point_map(source_spec: OrderedSpectrum, point_map: Mapping[str, str],
@@ -338,7 +301,7 @@ def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
 
     dual = {point_ideal(SubalgebraPartition.discrete(space.elements), x).label: point_map[x]
             for x in space.elements}
-    return SpectralMap(dict(point_map), dual, structural, sampled)
+    return SpectralMap(dict(point_map), dual)
 
 
 @dataclass

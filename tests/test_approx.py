@@ -210,6 +210,17 @@ def test_sequence_requires_proximal_pair():
         dieudonne_sequence(f, g, oracle, 0)
 
 
+def test_sequence_on_permuted_carriers():
+    """Arguments in other label orders give the trace of carrier-ordered copies."""
+    oracle = ProximityOracle.from_order(chain("pq"))
+    f = RationalFn("qp", {"p": 0, "q": 1})
+    g = RationalFn("pq", {"p": 2, "q": 3})
+    plain = dieudonne_sequence(f.on(oracle.carrier), g, oracle, 6).to_dict()
+    assert plain["violations"] == [] and plain["limit_witness"] is not None
+    assert dieudonne_sequence(f, g, oracle, 6).to_dict() == plain
+    assert dieudonne_sequence(f, g.on(("q", "p")), oracle, 6).to_dict() == plain
+
+
 def test_trace_serialization():
     oracle = ProximityOracle.r2()
     f = RationalFn(oracle.carrier, {"x": 0, "y": 0})

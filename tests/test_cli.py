@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from ordalg.approx import DIEUDONNE_STEP_CAP
-from ordalg.cli import main
+from ordalg.cli import SAMPLES_CAP, _samples, build_parser, main
 
 CHAIN2 = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 LOOP = {"elements": ["p", "q"], "leq": [["p", "q"], ["q", "p"]]}
@@ -217,6 +217,22 @@ def test_nonpositive_samples_is_input_error(docs, count):
         assert "PASS" not in res.stdout
 
 
+def test_samples_above_cap_is_input_error(docs):
+    for args in (("axioms", "--oracle", "r2"),
+                 ("roundtrip", "--poset", docs("chain2.json", CHAIN2))):
+        res = run(*args, "--samples", str(SAMPLES_CAP + 1))
+        assert res.returncode == 2
+        assert payload(res.stdout)["details"] == {"samples": SAMPLES_CAP + 1,
+                                                  "cap": SAMPLES_CAP}
+        assert "PASS" not in res.stdout
+
+
+def test_samples_at_cap_is_accepted():
+    for argv in (["axioms", "--oracle", "r2"], ["roundtrip", "--poset", "p.json"]):
+        args = build_parser().parse_args(argv + ["--samples", str(SAMPLES_CAP)])
+        assert _samples(args) == SAMPLES_CAP
+
+
 def test_flags_belong_to_the_commands_that_read_them(docs):
     chain2 = docs("chain2.json", CHAIN2)
     for args in (("spectrum", "--oracle", "r2", "--samples", "7"),
@@ -317,3 +333,47 @@ def test_sw_approx_accepts_a_permuted_carrier(docs):
     assert res.returncode == 0
     assert res.stdout == run("sw-approx", "--poset", poset, "--function",
                              docs("f.json", F01), "--eps", "1/4").stdout
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_envelope_accepts_a_permuted_carrier(docs, direction):
+    poset = docs("chain2.json", CHAIN2)
+    res = run("envelope", "--poset", poset, "--function", docs("perm.json", F01_PERMUTED),
+              "--direction", direction)
+    assert res.returncode == 0
+    assert res.stdout == run("envelope", "--poset", poset, "--function",
+                             docs("f.json", F01), "--direction", direction).stdout
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_dieudonne_accepts_a_permuted_carrier_on_either_side(docs, side):
+    skel = docs("skel.json", SKEL)
+    left, right = docs("f.json", FM10), docs("g.json", F12)
+    plain = run("dieudonne", "--skeleton", skel, "--left", left, "--right", right,
+                "--steps", "4")
+    assert plain.returncode == 0
+    if side == "left":
+        left = docs("perm.json", {"carrier": ["q", "p"], "values": FM10["values"]})
+    else:
+        right = docs("perm.json", {"carrier": ["q", "p"], "values": F12["values"]})
+    res = run("dieudonne", "--skeleton", skel, "--left", left, "--right", right,
+              "--steps", "4")
+    assert res.stdout == plain.stdout
+
+
+def test_algebra_and_generators_accept_permuted_carriers(docs):
+    algebra = docs("alg.json", {"carrier": ["y", "x"], "blocks": [["y", "x"]]})
+    plain = docs("plain.json", {"carrier": ["x", "y"], "blocks": [["x", "y"]]})
+    body = {}
+    for command in ("induced-order", "spectrum"):
+        res = run(command, "--oracle", "r2", "--algebra", algebra)
+        assert res.returncode == 0
+        assert res.stdout == run(command, "--oracle", "r2", "--algebra", plain).stdout
+        body[command] = payload(res.stdout)
+    assert body["spectrum"]["points"] == [{"label": "M(x|y)", "block": ["x", "y"]}]
+    assert body["induced-order"]["nachbin"] is True
+    gens = docs("gens.json", {"generators": [F01, F01_PERMUTED]})
+    res = run("envelope", "--skeleton", gens, "--function", docs("f.json", F10),
+              "--direction", "upper")
+    assert res.returncode == 0
+    assert payload(res.stdout)["envelope"]["values"] == {"p": "1", "q": "1"}

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ordalg import (CarrierMismatch, EmptyCarrier, NotBlockConstant,
                     RationalFn, SubalgebraPartition, UnknownElement,
-                    as_fraction, chain, generate_closed_subalgebra,
-                    monotone_envelope, pos_neg_abs, sup_norm)
+                    as_fraction, chain, check_carrier,
+                    generate_closed_subalgebra, monotone_envelope)
 from ordalg.rng import rng_for, sample_values
 
 CARRIER = ("p", "q", "r")
@@ -139,10 +139,11 @@ def test_scalar_mixing():
 
 
 def test_pos_neg_abs_identities():
+    """a = a+ - a- and |a| = a+ + a-."""
     rng = rng_for(22, "fnalg-abs")
     for _ in range(30):
         a = RationalFn(CARRIER, sample_values(rng, CARRIER))
-        pos, neg, mag = pos_neg_abs(a)
+        pos, neg, mag = a.pos_part(), a.neg_part(), abs(a)
         assert pos - neg == a
         assert pos + neg == mag == abs(a)
         assert pos.meet(neg) == RationalFn.zero(CARRIER)
@@ -157,7 +158,7 @@ def test_order_is_partial():
 
 def test_norm_and_extremes():
     a = fn(p="-3/2", q="1/3", r=0)
-    assert a.sup_norm() == sup_norm(a) == Fraction(3, 2)
+    assert a.sup_norm() == Fraction(3, 2)
     assert a.min_value() == Fraction(-3, 2)
     assert a.max_value() == Fraction(1, 3)
     assert not a.is_constant()
@@ -168,6 +169,35 @@ def test_norm_and_extremes():
 def test_carrier_mismatch():
     with pytest.raises(CarrierMismatch):
         fn(p=0, q=0, r=0) + RationalFn(("p", "q"), {"p": 0, "q": 0})
+
+
+@pytest.mark.parametrize("other", [("p", "q"), ("p", "q", "s"), ("p", "q", "r", "s")])
+def test_different_label_sets_raise(other):
+    """Only the label order may differ; other label sets raise, with one details shape."""
+    a = fn(p=0, q=1, r=2)
+    b = RationalFn(other, dict.fromkeys(other, 0))
+    for call in (lambda: check_carrier(other, CARRIER), lambda: a.on(other),
+                 lambda: a.on(("p", "q", "r", "r")),
+                 lambda: a + b, lambda: b.le(a),
+                 lambda: SubalgebraPartition.discrete(other).contains(a),
+                 lambda: generate_closed_subalgebra([a, b])):
+        with pytest.raises(CarrierMismatch) as err:
+            call()
+        assert set(err.value.details) == {"expected", "found"}
+
+
+def test_permuted_carrier_is_the_same_carrier():
+    """A function is read in the carrier order of whatever receives it."""
+    a = RationalFn(("q", "p", "r"), {"p": 1, "q": 2, "r": 3})
+    b = fn(p=1, q=2, r=3)
+    check_carrier(a.carrier, CARRIER)
+    assert a.on(CARRIER).carrier == CARRIER and a.on(CARRIER).values == b.values
+    assert b.on(CARRIER) is b
+    assert a == b and hash(a) == hash(b)
+    assert (a + b).carrier == a.carrier and (b + a).carrier == CARRIER
+    assert a + b == b + a == b.scale(2)
+    assert a.le(b) and b.le(a) and a.ge(b)
+    assert a.join(b.scale(2)) == b.scale(2)
 
 
 def test_hash_and_dict_roundtrip():
@@ -213,15 +243,6 @@ def test_partition_membership():
     assert err.value.details["block"] == ["p", "q"]
 
 
-def test_refines():
-    fine = SubalgebraPartition.discrete(CARRIER)
-    coarse = SubalgebraPartition.indiscrete(CARRIER)
-    mid = SubalgebraPartition(CARRIER, (("p", "q"), ("r",)))
-    assert fine.refines(mid) and mid.refines(coarse) and fine.refines(coarse)
-    assert not coarse.refines(mid)
-    assert mid.refines(mid)
-
-
 def test_generate_closed_subalgebra_against_all_partitions():
     """The kernel partition is the coarsest one keeping generators constant."""
     rng = rng_for(23, "kernel")
@@ -236,7 +257,8 @@ def test_generate_closed_subalgebra_against_all_partitions():
             if all(part.contains(g) for g in gens):
                 valid.append(part)
         assert got in valid
-        assert all(p.refines(got) for p in valid)
+        # every valid partition refines the kernel partition
+        assert all(set(b) <= set(got.block_of(b[0])) for p in valid for b in p.blocks)
 
 
 def test_generate_closed_subalgebra_edges():
@@ -245,6 +267,14 @@ def test_generate_closed_subalgebra_edges():
         generate_closed_subalgebra([])
     a = fn(p=0, q=0, r=1)
     assert generate_closed_subalgebra([a]).blocks == (("p", "q"), ("r",))
+
+
+def test_generate_closed_subalgebra_on_permuted_carriers():
+    a = RationalFn(("q", "p"), {"p": 0, "q": 1})
+    b = RationalFn(("p", "q"), {"p": 0, "q": 0})
+    assert generate_closed_subalgebra([a, b]) == SubalgebraPartition.discrete(("q", "p"))
+    assert generate_closed_subalgebra([b, a]) == SubalgebraPartition.discrete(("p", "q"))
+    assert SubalgebraPartition.discrete(("p", "q")).contains(a)
 
 
 def test_partition_serialization():

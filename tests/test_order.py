@@ -12,7 +12,7 @@ from ordalg import (AntisymmetryViolation, EmptyCarrier, FinitePoset,
                     complete_quasi_order, enumerate_monotone_maps,
                     enumerate_posets, is_monotone, linear_extension,
                     monotone_envelope, posets_up_to, random_poset,
-                    require_monotone, validate_order)
+                    require_monotone)
 from ordalg.rng import rng_for, sample_values
 
 # Iso-class and labeled counts of finite posets; frozen from an
@@ -75,14 +75,6 @@ def test_poset_rejects_two_way_pair():
     assert set(err.value.details["pair"]) == {"a", "b"}
 
 
-def test_validate_order_modes():
-    poset = validate_order("ab", [("a", "b")])
-    assert isinstance(poset, FinitePoset)
-    quasi = validate_order("ab", [("a", "b"), ("b", "a")], require_antisymmetry=False)
-    assert isinstance(quasi, QuasiOrder)
-    assert quasi.equiv_blocks() == (("a", "b"),)
-
-
 def test_downsets_and_upsets():
     v = FinitePoset("abc", [("a", "c"), ("b", "c")])
     assert v.downset("c") == ("a", "b", "c")
@@ -99,6 +91,15 @@ def test_constructors():
     full = complete_quasi_order("ab")
     assert full.leq("a", "b") and full.leq("b", "a")
     assert not full.is_antisymmetric
+    assert full.equiv_blocks() == (("a", "b"),)
+
+
+def test_order_equality_ignores_listing_order():
+    forward = FinitePoset("abc", [("a", "b")])
+    backward = QuasiOrder("cba", [("a", "b")])
+    assert forward == backward and hash(forward) == hash(backward)
+    assert forward != FinitePoset("abc", [("b", "a")])
+    assert forward != FinitePoset("abd", [("a", "b")])
 
 
 def test_is_monotone_and_require():
@@ -110,6 +111,9 @@ def test_is_monotone_and_require():
     with pytest.raises(NotMonotone) as err:
         require_monotone(down, c)
     assert err.value.details["pair"] == ["a", "b"]
+    permuted = RationalFn("ba", {"a": 1, "b": 0})
+    assert not is_monotone(permuted, c)
+    assert monotone_envelope(permuted, c).carrier == c.elements
 
 
 @pytest.mark.parametrize("direction", ["upper", "lower"])

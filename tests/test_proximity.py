@@ -92,8 +92,29 @@ def test_skeleton_membership_is_reflexivity():
     oracle = ProximityOracle.from_order(chain("ab"))
     up = RationalFn("ab", {"a": 0, "b": 1})
     down = RationalFn("ab", {"a": 1, "b": 0})
-    assert oracle.skeleton_membership(up)
-    assert not oracle.skeleton_membership(down)
+    assert oracle.decide(up, up) and oracle.skeleton.contains(up)
+    assert not oracle.decide(down, down) and not oracle.skeleton.contains(down)
+
+
+def test_permuted_carriers_decide_in_either_argument_order():
+    """Arguments listed in different label orders get the verdicts of carrier-ordered copies."""
+    oracle = ProximityOracle.from_order(chain("pq"))
+    a = RationalFn(("q", "p"), {"p": 0, "q": 0})
+    b = RationalFn(("p", "q"), {"p": 1, "q": 1})
+    related, witness = prox_decide(oracle, a, b)
+    assert related is True
+    assert witness.carrier == oracle.carrier and witness == a
+    assert prox_decide(oracle, b, a) == (False, None)
+    assert separation_point(oracle, b, a) == {"point": "p", "envelope": "1", "bound": "0"}
+    assert a.le(b) and not b.le(a)
+    assert a + b == b + a == b
+
+
+def test_r2_witness_checks_the_carrier():
+    oracle = ProximityOracle.r2()
+    with pytest.raises(CarrierMismatch):
+        oracle.witness(RationalFn("ab", {"a": 0, "b": 1}))
+    assert oracle.witness(RationalFn("yx", {"x": 0, "y": 1})) == r2fn(1, 1)
 
 
 @pytest.mark.parametrize("oracle", [
@@ -207,3 +228,12 @@ def test_is_nachbin_cases():
 def test_is_nachbin_carrier_check():
     with pytest.raises(CarrierMismatch):
         is_nachbin(SubalgebraPartition.discrete("ab"), ProximityOracle.r2())
+
+
+@pytest.mark.parametrize("oracle", [ProximityOracle.r2(),
+                                    ProximityOracle.from_order(chain("xy"))],
+                         ids=["r2", "chain2"])
+def test_is_nachbin_ignores_the_algebra_carrier_order(oracle):
+    for make in (SubalgebraPartition.discrete, SubalgebraPartition.indiscrete):
+        assert is_nachbin(make("yx"), oracle) == is_nachbin(make("xy"), oracle)
+    assert is_nachbin(SubalgebraPartition.indiscrete("yx"), oracle)

@@ -8,8 +8,7 @@ from ordalg import (CarrierMismatch, EnvelopePair, NotAMorphism,
                     NotInSkeleton, NotRepresentable, QuasiOrder, RationalFn,
                     SbalSkeleton, chain, check_skeleton_axioms,
                     complete_quasi_order, concrete_envelope,
-                    difference_decompose, envelope_umt, epsilon_embed,
-                    monotone_envelope, scale_by_shift)
+                    difference_decompose, envelope_umt, monotone_envelope)
 from ordalg.order import FinitePoset
 from ordalg.rng import rng_for, sample_nonneg_scalar, sample_values
 
@@ -46,13 +45,15 @@ def test_envelope_is_least_member_above():
 
 
 def test_scale_by_shift_matches_pointwise():
-    """r * a computed through shifts agrees with plain scaling."""
+    """r * a = r(a + s) - rs, for a shift s >= 0 making a + s nonnegative."""
     rng = rng_for(31, "shift-scale")
     s = sk()
     for _ in range(40):
         a = s.sample_member(rng)
         r = sample_nonneg_scalar(rng)
-        assert scale_by_shift(s, a, r) == a.scale(r)
+        shift = max(Fraction(0), -a.min_value())
+        assert (a + shift).ge(0) and s.contains(a + shift)
+        assert (a + shift).scale(r) - r * shift == a.scale(r)
 
 
 def test_pair_equivalence_and_hash():
@@ -64,6 +65,17 @@ def test_pair_equivalence_and_hash():
     assert EnvelopePair(s, five, three) == EnvelopePair(s, two, z)
     assert hash(EnvelopePair(s, five, three)) == hash(EnvelopePair(s, two, z))
     assert EnvelopePair(s, five, two) != EnvelopePair(s, two, z)
+
+
+def test_equal_pairs_in_different_label_orders_hash_equally():
+    s = sk(chain("ab"))
+    up = RationalFn("ab", {"a": 0, "b": 2})
+    up_ba = RationalFn("ba", {"a": 1, "b": 3})
+    one_ba = RationalFn.constant("ba", 1)
+    p, q = EnvelopePair(s, up, s.zero()), EnvelopePair(s, up_ba, one_ba)
+    assert p == q and q == p
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
 
 
 def test_pair_requires_cone_members():
@@ -112,7 +124,7 @@ def test_pair_ops_match_difference_evaluation():
 
 def test_pair_scalar_coercion():
     s = sk(chain("ab"))
-    p = epsilon_embed(s, s.one())
+    p = EnvelopePair(s, s.one(), s.zero())
     assert (p + 1).diff() == RationalFn.constant("ab", 2)
     assert (3 - p).diff() == RationalFn.constant("ab", 2)
     assert (p * Fraction(-1, 2)).diff() == RationalFn.constant("ab", Fraction(-1, 2))
@@ -122,14 +134,19 @@ def test_pair_scalar_coercion():
 
 
 def test_epsilon_embed_is_injective_hom():
+    """The embedding a |-> [a, 0] is additive, join-preserving and injective."""
     rng = rng_for(33, "embed")
     s = sk()
+
+    def embed(a):
+        return EnvelopePair(s, a, s.zero())
+
     for _ in range(30):
         a, b = s.sample_member(rng), s.sample_member(rng)
-        assert epsilon_embed(s, a) + epsilon_embed(s, b) == epsilon_embed(s, a + b)
-        assert epsilon_embed(s, a.join(b)) == epsilon_embed(s, a).join(epsilon_embed(s, b))
+        assert embed(a) + embed(b) == embed(a + b)
+        assert embed(a.join(b)) == embed(a).join(embed(b))
         if a != b:
-            assert epsilon_embed(s, a) != epsilon_embed(s, b)
+            assert embed(a) != embed(b)
 
 
 def test_envelope_umt_extends_identity():
@@ -162,6 +179,16 @@ def test_difference_decompose_cases():
     assert f - g == wavy
     with pytest.raises(CarrierMismatch):
         difference_decompose(s, RationalFn(("x",), {"x": 0}))
+
+
+@pytest.mark.parametrize("values", [{"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 0, "c": 2}],
+                         ids=["member", "wavy"])
+def test_difference_decompose_on_a_permuted_carrier(values):
+    s = sk(chain("abc"))
+    h = RationalFn("cab", values)
+    f, g = difference_decompose(s, h)
+    assert f.carrier == g.carrier == s.carrier
+    assert f - g == h
 
 
 def test_difference_decompose_respects_equivalence():
