@@ -78,18 +78,25 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
+def _labels(items, what: str) -> tuple:
+    if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+        raise _InputError(f"{what} must be a list of strings, got {items!r}")
+    return tuple(items)
+
+
 def _order_from_doc(doc: dict, *, antisymmetric: bool) -> QuasiOrder:
     if not isinstance(doc.get("elements"), list) or not isinstance(doc.get("leq"), list):
         raise _InputError('an order document needs "elements" and "leq" lists')
+    elements = _labels(doc["elements"], "the order elements")
     pairs = []
     for item in doc["leq"]:
         if not isinstance(item, list) or len(item) != 2:
             raise _InputError(f'"leq" entries must be pairs, got {item!r}')
-        pairs.append(tuple(item))
+        pairs.append(_labels(item, "each order pair"))
     try:
         if antisymmetric:
-            return FinitePoset(doc["elements"], pairs)
-        return QuasiOrder(doc["elements"], pairs)
+            return FinitePoset(elements, pairs)
+        return QuasiOrder(elements, pairs)
     except OrdalgError as exc:
         raise _InputError(str(exc), exc.details) from exc
 
@@ -146,9 +153,9 @@ def _algebra_from(args, carrier: tuple) -> SubalgebraPartition:
     doc = _load_doc(args.algebra)
     if not isinstance(doc.get("carrier"), list) or not isinstance(doc.get("blocks"), list):
         raise _InputError('an algebra document needs "carrier" and "blocks" lists')
+    blocks = tuple(_labels(b, "each algebra block") for b in doc["blocks"])
     try:
-        algebra = SubalgebraPartition(tuple(doc["carrier"]),
-                                      tuple(tuple(b) for b in doc["blocks"]))
+        algebra = SubalgebraPartition(_labels(doc["carrier"], "the algebra carrier"), blocks)
     except OrdalgError as exc:
         raise _InputError(str(exc), exc.details) from exc
     check_carrier(algebra.carrier, carrier)

@@ -286,6 +286,15 @@ class SubalgebraPartition:
                 return block
         raise UnknownElement(f"{x!r} is not in the carrier", {"element": x})
 
+    def __eq__(self, other) -> bool:
+        # The set partition alone, as for RationalFn: label order is not identity.
+        if not isinstance(other, SubalgebraPartition):
+            return NotImplemented
+        return set(map(frozenset, self.blocks)) == set(map(frozenset, other.blocks))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(map(frozenset, self.blocks)))
+
     def contains(self, f: RationalFn) -> bool:
         """Membership: f lies in the subalgebra iff it is block-constant."""
         check_carrier(f.carrier, self.carrier)

@@ -6,7 +6,10 @@ square, so a :class:`FinitePoset` is exactly a finite ordered compact
 space and a :class:`QuasiOrder` its non-antisymmetric generalization.
 Constructors take any generating relation and close it reflexively and
 transitively, and reject unknown labels; :class:`FinitePoset` also rejects
-two-way pairs.
+two-way pairs.  Each order also keeps ``cover_pairs``, a fixed tuple
+generating the relation: a cycle through each two-way class plus the
+covers between classes (the transitive reduction; Aho, Garey and Ullman,
+SIAM J. Comput. 1972).  Monotonicity is checked on that tuple alone.
 
 The order-theoretic core of the package lives here:
 
@@ -46,7 +49,7 @@ class QuasiOrder:
     declaration order, which makes every derived output deterministic.
     """
 
-    __slots__ = ("elements", "_index", "_leq", "_down", "_up")
+    __slots__ = ("elements", "_index", "_leq", "_down", "_up", "_covers")
 
     def __init__(self, elements: Sequence[str], pairs: Iterable[Pair] = ()):
         elements = tuple(elements)
@@ -62,25 +65,38 @@ class QuasiOrder:
                     raise UnknownElement(f"relation mentions {z!r} outside the carrier",
                                          {"element": z})
             succ[x].add(y)
-        # Transitive closure by iterated expansion; carriers here are small.
-        changed = True
-        while changed:
-            changed = False
+        # Warshall's closure: after step k, every x reaching k reaches all of k's successors.
+        for k in elements:
             for x in elements:
-                grown = set(succ[x])
-                for y in succ[x]:
-                    grown |= succ[y]
-                if grown != succ[x]:
-                    succ[x] = grown
-                    changed = True
+                if k in succ[x]:
+                    succ[x] |= succ[k]
         up = {x: tuple(y for y in elements if y in succ[x]) for x in elements}
         down = {y: tuple(x for x in elements if y in succ[x]) for y in elements}
         leq = frozenset((x, y) for x in elements for y in succ[x])
+        # Cover pairs: a cycle through each two-way class, then covers between class heads.
+        head: Dict[str, str] = {}
+        covers: List[Pair] = []
+        for x in elements:
+            if x in head:
+                continue
+            block = [y for y in up[x] if x in succ[y]]
+            for y in block:
+                head[y] = x
+            if len(block) > 1:
+                covers.extend(zip(block, block[1:] + block[:1]))
+        for x in elements:
+            if head[x] != x:
+                continue
+            above = [y for y in up[x] if head[y] == y and y != x]
+            for y in above:
+                if not any(z != y and y in succ[z] for z in above):
+                    covers.append((x, y))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_leq", leq)
         object.__setattr__(self, "_down", down)
         object.__setattr__(self, "_up", up)
+        object.__setattr__(self, "_covers", tuple(covers))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -89,6 +105,11 @@ class QuasiOrder:
     def pairs(self) -> frozenset:
         """The full closed relation, as a frozenset of (below, above) pairs."""
         return self._leq
+
+    @property
+    def cover_pairs(self) -> tuple:
+        """A fixed tuple generating the relation: two-way cycles, then covers."""
+        return self._covers
 
     def _check(self, x: str) -> None:
         if x not in self._index:
@@ -192,7 +213,7 @@ def is_monotone(f: RationalFn, order: QuasiOrder) -> bool:
     """Membership of f in the monotone cone of the order."""
     check_carrier(f.carrier, order.elements)
     values = f.values
-    return all(values[x] <= values[y] for x, y in order._leq)
+    return all(values[x] <= values[y] for x, y in order._covers)
 
 
 def require_monotone(f: RationalFn, order: QuasiOrder) -> None:
@@ -268,9 +289,10 @@ def linear_extension(poset: QuasiOrder) -> Dict[str, int]:
 def enumerate_monotone_maps(domain: QuasiOrder, codomain: QuasiOrder) -> List[dict]:
     """All order-preserving maps, as dicts, in deterministic order."""
     maps = []
+    leq = codomain.pairs
     for images in itertools.product(codomain.elements, repeat=len(domain.elements)):
         h = dict(zip(domain.elements, images))
-        if all(codomain.leq(h[x], h[y]) for x, y in domain.pairs):
+        if all((h[x], h[y]) in leq for x, y in domain.cover_pairs):
             maps.append(h)
     return maps
 

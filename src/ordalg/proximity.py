@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 from . import rng as rngmod
 from .fnalg import RationalFn, SubalgebraPartition, as_fraction, check_carrier
 from .order import QuasiOrder, complete_quasi_order, monotone_envelope
-from .sbal import AxiomReport, SbalSkeleton, _AxiomRun, _fn_doc
+from .sbal import AxiomReport, SbalSkeleton, _AxiomRun, _doc
 
 R2_CARRIER = ("x", "y")
 
@@ -186,14 +186,10 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
         b = above(a) if rng.random() < 0.5 else rand_fn()
         return a, b
 
-    def doc(**fs) -> dict:
-        return {k: _fn_doc(v) if isinstance(v, RationalFn) else str(v)
-                for k, v in fs.items()}
-
     for _ in range(samples):
         # P1: a prox b implies a <= b.
         a, b = related_pair()
-        runs["P1"].record(oracle.decide(a, b), a.le(b), lambda: doc(a=a, b=b))
+        runs["P1"].record(oracle.decide(a, b), a.le(b), lambda: _doc(a=a, b=b))
 
         # P2: a <= b prox c <= d implies a prox d.
         b2 = rand_fn()
@@ -201,7 +197,7 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
         a2 = b2 - nonneg_fn()
         d2 = c2 + nonneg_fn()
         runs["P2"].record(oracle.decide(b2, c2), oracle.decide(a2, d2),
-                          lambda: doc(a=a2, b=b2, c=c2, d=d2))
+                          lambda: _doc(a=a2, b=b2, c=c2, d=d2))
 
         # P3: a prox b and a prox c imply a prox b ^ c.
         a3 = rand_fn()
@@ -209,7 +205,7 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
         c3 = above(a3) if rng.random() < 0.5 else rand_fn()
         runs["P3"].record(oracle.decide(a3, b3) and oracle.decide(a3, c3),
                           oracle.decide(a3, b3.meet(c3)),
-                          lambda: doc(a=a3, b=b3, c=c3))
+                          lambda: _doc(a=a3, b=b3, c=c3))
 
         # P4: a prox c and b prox c imply a v b prox c.
         a4, b4 = rand_fn(), rand_fn()
@@ -217,16 +213,16 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
               if rng.random() < 0.5 else rand_fn())
         runs["P4"].record(oracle.decide(a4, c4) and oracle.decide(b4, c4),
                           oracle.decide(a4.join(b4), c4),
-                          lambda: doc(a=a4, b=b4, c=c4))
+                          lambda: _doc(a=a4, b=b4, c=c4))
 
         # P5 / RP5: interpolation, with a reflexive interpolant for RP5.
         a5, b5 = related_pair()
         if oracle.decide(a5, b5):
             w = oracle.witness(a5)
             interpolates = oracle.decide(a5, w) and oracle.decide(w, b5)
-            runs["P5"].record(True, interpolates, lambda: doc(a=a5, b=b5, c=w))
+            runs["P5"].record(True, interpolates, lambda: _doc(a=a5, b=b5, c=w))
             runs["RP5"].record(True, interpolates and oracle.decide(w, w),
-                               lambda: doc(a=a5, b=b5, c=w))
+                               lambda: _doc(a=a5, b=b5, c=w))
         else:
             runs["P5"].record(False, True, dict)
             runs["RP5"].record(False, True, dict)
@@ -236,7 +232,7 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
         c6, d6 = related_pair()
         runs["P6"].record(oracle.decide(a6, b6) and oracle.decide(c6, d6),
                           oracle.decide(a6 + c6, b6 + d6),
-                          lambda: doc(a=a6, b=b6, c=c6, d=d6))
+                          lambda: _doc(a=a6, b=b6, c=c6, d=d6))
 
         # P7: products of nonnegative related pairs.
         a7 = abs(rand_fn())
@@ -245,38 +241,38 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
         d7 = above(c7) if rng.random() < 0.5 else abs(rand_fn())
         runs["P7"].record(oracle.decide(a7, b7) and oracle.decide(c7, d7),
                           oracle.decide(a7 * c7, b7 * d7),
-                          lambda: doc(a=a7, b=b7, c=c7, d=d7))
+                          lambda: _doc(a=a7, b=b7, c=c7, d=d7))
 
         # P8: every constant is reflexive.
         r8 = RationalFn.constant(carrier, rngmod.sample_scalar(rng))
-        runs["P8"].record(True, oracle.decide(r8, r8), lambda: doc(r=r8))
+        runs["P8"].record(True, oracle.decide(r8, r8), lambda: _doc(r=r8))
 
         # P9: nonnegative scaling preserves the relation.
         a9, b9 = related_pair()
         r9 = rngmod.sample_nonneg_scalar(rng)
         runs["P9"].record(oracle.decide(a9, b9),
                           oracle.decide(a9.scale(r9), b9.scale(r9)),
-                          lambda: doc(a=a9, b=b9, r=r9))
+                          lambda: _doc(a=a9, b=b9, r=r9))
 
         if include_devries:
             # P11: a prox b implies -b prox -a.
             a11, b11 = related_pair()
             runs["P11"].record(oracle.decide(a11, b11),
                                oracle.decide(-b11, -a11),
-                               lambda: doc(a=a11, b=b11))
+                               lambda: _doc(a=a11, b=b11))
             # P12: below any 0 < b sits some 0 < a.
             b12 = abs(rand_fn())
             premise = b12 != RationalFn.zero(carrier)
             runs["P12"].record(premise,
                                positive_below(oracle, b12) is not None if premise else True,
-                               lambda: doc(b=b12))
+                               lambda: _doc(b=b12))
 
     if include_devries:
         # Deterministic candidates, independent of the sampling above.
         c = _strict_pair_counterexample(oracle)
         if c is not None:
             runs["P11"].record(oracle.decide(c, c), oracle.decide(-c, -c),
-                               lambda: doc(a=c, b=c))
+                               lambda: _doc(a=c, b=c))
         # The point indicator with the best chance to falsify P12: one
         # whose upset is nontrivial, so its lower envelope collapses to 0.
         order = oracle.skeleton.order
@@ -285,7 +281,7 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
                                     for x in carrier})
         runs["P12"].record(peak != RationalFn.zero(carrier),
                            positive_below(oracle, peak) is not None,
-                           lambda: doc(b=peak))
+                           lambda: _doc(b=peak))
 
     report = AxiomReport(subject=f"proximity:{oracle.kind}", seed=seed, samples=samples)
     report.results = [runs[name].result() for name in names]

@@ -357,8 +357,10 @@ class _AxiomRun:
                            self.failure is None, self.failure)
 
 
-def _fn_doc(f: RationalFn) -> dict:
-    return {x: str(v) for x, v in f.values.items()}
+def _doc(**fields) -> dict:
+    """A counterexample document: functions as value maps, scalars as strings."""
+    return {k: {x: str(v) for x, v in f.values.items()} if isinstance(f, RationalFn) else str(f)
+            for k, f in fields.items()}
 
 
 def archimedean_premise(a: RationalFn, b: RationalFn, c: RationalFn,
@@ -396,14 +398,12 @@ def check_skeleton_axioms(skeleton: SbalSkeleton, *, samples: int = 1000,
         a = skeleton.sample_member(rng)
         b = skeleton.sample_member(rng)
         c = skeleton.sample_member(rng)
-        doc = lambda **fs: {k: _fn_doc(v) if isinstance(v, RationalFn) else str(v)
-                            for k, v in fs.items()}
 
         # S1: a <= b iff a + c <= b + c.
-        runs["S1"].record(True, a.le(b) == (a + c).le(b + c), lambda: doc(a=a, b=b, c=c))
+        runs["S1"].record(True, a.le(b) == (a + c).le(b + c), lambda: _doc(a=a, b=b, c=c))
         # S2/S3: translation distributes over join and meet.
-        runs["S2"].record(True, a.join(b) + c == (a + c).join(b + c), lambda: doc(a=a, b=b, c=c))
-        runs["S3"].record(True, a.meet(b) + c == (a + c).meet(b + c), lambda: doc(a=a, b=b, c=c))
+        runs["S2"].record(True, a.join(b) + c == (a + c).join(b + c), lambda: _doc(a=a, b=b, c=c))
+        runs["S3"].record(True, a.meet(b) + c == (a + c).meet(b + c), lambda: _doc(a=a, b=b, c=c))
 
         p = skeleton.sample_nonneg_member(rng)
         q = skeleton.sample_nonneg_member(rng)
@@ -411,10 +411,10 @@ def check_skeleton_axioms(skeleton: SbalSkeleton, *, samples: int = 1000,
         one = skeleton.one()
         s4 = (p * q == q * p and (p * q) * s == p * (q * s) and one * p == p
               and skeleton.contains_nonneg(p * q))
-        runs["S4"].record(True, s4, lambda: doc(p=p, q=q, s=s))
-        runs["S5"].record(True, p * (q + s) == p * q + p * s, lambda: doc(p=p, q=q, s=s))
+        runs["S4"].record(True, s4, lambda: _doc(p=p, q=q, s=s))
+        runs["S5"].record(True, p * (q + s) == p * q + p * s, lambda: _doc(p=p, q=q, s=s))
         # S6: 0 <= p <= p + q and 0 <= s give p*s <= (p+q)*s.
-        runs["S6"].record(True, (p * s).le((p + q) * s), lambda: doc(p=p, q=q, s=s))
+        runs["S6"].record(True, (p * s).le((p + q) * s), lambda: _doc(p=p, q=q, s=s))
 
         r1 = rngmod.sample_scalar(rng)
         r2 = rngmod.sample_scalar(rng)
@@ -427,11 +427,11 @@ def check_skeleton_axioms(skeleton: SbalSkeleton, *, samples: int = 1000,
               and const(1) == skeleton.one()
               and skeleton.contains(const(r1))
               and (r1 <= r2) == const(r1).le(const(r2)))
-        runs["S7"].record(True, s7, lambda: doc(r1=r1, r2=r2))
+        runs["S7"].record(True, s7, lambda: _doc(r1=r1, r2=r2))
 
         bound = a.sup_norm()
         runs["S8"].record(True, const(-bound).le(a) and a.le(const(bound)),
-                          lambda: doc(a=a, bound=bound))
+                          lambda: _doc(a=a, bound=bound))
 
         # S9: half the rounds build the premise, half leave it to chance.
         if rng.random() < 0.5:
@@ -441,7 +441,7 @@ def check_skeleton_axioms(skeleton: SbalSkeleton, *, samples: int = 1000,
             aa, cc, bb, dd = a, b, c, skeleton.sample_member(rng)
         premise = archimedean_premise(aa, bb, cc, dd)
         runs["S9"].record(premise, aa.le(cc) if premise else True,
-                          lambda: doc(a=aa, b=bb, c=cc, d=dd))
+                          lambda: _doc(a=aa, b=bb, c=cc, d=dd))
 
     report = AxiomReport(subject="skeleton", seed=seed, samples=samples)
     report.results = [runs[name].result() for name in sorted(runs)]

@@ -39,7 +39,7 @@ from . import rng as rngmod
 from .errors import NotAMorphism, TooLargeToEnumerate, UnknownElement
 from .fnalg import RationalFn, SubalgebraPartition
 from .order import FinitePoset, QuasiOrder, enumerate_monotone_maps
-from .proximity import ProximityOracle, combined_order, relative_skeleton
+from .proximity import ProximityOracle, combined_order
 from .sbal import SbalSkeleton, concrete_envelope
 
 ADJUNCTION_CAP = 4
@@ -96,12 +96,6 @@ class OrderedSpectrum:
     @property
     def is_partial_order(self) -> bool:
         return self.order.is_antisymmetric
-
-    def ideal_by_label(self, label: str) -> MaxIdeal:
-        for point in self.points:
-            if point.label == label:
-                return point
-        raise UnknownElement(f"no spectrum point labeled {label!r}", {"label": label})
 
     def as_poset(self) -> FinitePoset:
         return FinitePoset(self.order.elements, self.order.pairs)
@@ -245,16 +239,35 @@ def apply_point_map(source_spec: OrderedSpectrum, point_map: Mapping[str, str],
 
 
 class _AdjunctionContext:
-    """Shared spectral data for repeated legality checks over one skeleton."""
+    """Spectral data shared by the legality checks of one call over (space, skeleton).
 
-    def __init__(self, skeleton: SbalSkeleton):
-        self.skeleton = skeleton
-        self.oracle = ProximityOracle.from_skeleton(skeleton)
-        self.algebra = concrete_envelope(skeleton)
-        self.spec = induced_order(self.algebra, self.oracle)
-        self.relative = relative_skeleton(self.oracle, self.algebra)
-        order = combined_order(self.oracle, self.algebra)
+    The spectrum, canonical witnesses, relative skeleton, space cone, the
+    unit's point labels, and the probe values on the spectrum per (seed, samples).
+    """
+
+    def __init__(self, space: FinitePoset, skeleton: SbalSkeleton):
+        oracle = ProximityOracle.from_skeleton(skeleton)
+        algebra = concrete_envelope(skeleton)
+        order = combined_order(oracle, algebra)
+        self.spec = induced_order(algebra, oracle)
+        self.relative = SbalSkeleton(order)
         self.witnesses = [canonical_witness(order, p.block) for p in self.spec.points]
+        self.space_cone = SbalSkeleton(space)
+        self.unit_labels = {x: m.label for x, m in eta(space).mapping.items()}
+        self._probes: Dict[Tuple[int, int], list] = {}
+
+    def probe_values(self, seed: int, samples: int) -> list:
+        """Witnesses then seeded relative-cone samples, as values on the spectrum."""
+        key = (seed, samples)
+        if key not in self._probes:
+            rng = rngmod.rng_for(seed, "dual-morphism")
+            probes = self.witnesses + [self.relative.sample_member(rng) for _ in range(samples)]
+            self._probes[key] = [phi(self.spec.algebra, s, self.spec).values for s in probes]
+        return self._probes[key]
+
+    def transport(self, dual: SpectralMap) -> dict:
+        """The composite of a morphism's dual with the unit, as a point map."""
+        return {x: dual.dual_map[label] for x, label in self.unit_labels.items()}
 
 
 def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
@@ -270,38 +283,34 @@ def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
     * by sampling, images of reflexive elements must stay reflexive, with
       the canonical witnesses themselves always included in the sample.
 
-    Raises NotAMorphism when illegal; otherwise returns the map together
+    Raises NotAMorphism when illegal, naming the first failing pair of the
+    space in ``sorted_pairs`` order; otherwise returns the map together
     with the induced map between spectra.
     """
-    ctx = _ctx if _ctx is not None else _AdjunctionContext(skeleton)
-    spec = ctx.spec
-    spec_labels = set(spec.order.elements)
+    ctx = _ctx if _ctx is not None else _AdjunctionContext(space, skeleton)
+    spec_leq = ctx.spec.order.pairs
+    spec_labels = set(ctx.spec.order.elements)
     for x in space.elements:
         if point_map.get(x) not in spec_labels:
             raise UnknownElement(f"point map sends {x!r} outside the spectrum",
                                  {"element": x, "image": point_map.get(x)})
 
-    structural = all(spec.order.leq(point_map[x], point_map[y]) for x, y in space.pairs)
-
-    space_cone = SbalSkeleton(space)
-    rng = rngmod.rng_for(seed, "dual-morphism")
-    probes = list(ctx.witnesses)
-    probes += [ctx.relative.sample_member(rng) for _ in range(samples)]
+    structural = all((point_map[x], point_map[y]) in spec_leq for x, y in space.cover_pairs)
+    elements = space.elements
     sampled = all(
-        space_cone.contains(apply_point_map(spec, point_map, s, space)) for s in probes)
+        ctx.space_cone.contains(RationalFn._make(elements, {x: v[point_map[x]] for x in elements}))
+        for v in ctx.probe_values(seed, samples))
 
     if structural != sampled:
         raise NotAMorphism("structural and sampled legality disagree",
                            {"structural": structural, "sampled": sampled})
     if not structural:
-        x, y = next((x, y) for x, y in space.pairs
-                    if not spec.order.leq(point_map[x], point_map[y]))
+        x, y = next((x, y) for x, y in space.sorted_pairs()
+                    if (point_map[x], point_map[y]) not in spec_leq)
         raise NotAMorphism("point map is not monotone into the spectral order",
                            {"pair": [x, y], "images": [point_map[x], point_map[y]]})
 
-    dual = {point_ideal(SubalgebraPartition.discrete(space.elements), x).label: point_map[x]
-            for x in space.elements}
-    return SpectralMap(dict(point_map), dual)
+    return SpectralMap(dict(point_map), {ctx.unit_labels[x]: point_map[x] for x in elements})
 
 
 @dataclass
@@ -372,7 +381,7 @@ def enumerate_adjunction(space: FinitePoset, skeleton: SbalSkeleton, *,
     checked on sampled composites with monotone reindexings of the space
     and of the spectrum.
     """
-    ctx = _AdjunctionContext(skeleton)
+    ctx = _AdjunctionContext(space, skeleton)
     spec = ctx.spec
     if len(space.elements) > ADJUNCTION_CAP or len(spec.points) > ADJUNCTION_CAP:
         raise TooLargeToEnumerate(
@@ -383,11 +392,6 @@ def enumerate_adjunction(space: FinitePoset, skeleton: SbalSkeleton, *,
     spec_poset = spec.as_poset()
     monotone_maps = enumerate_monotone_maps(space, spec_poset)
 
-    unit = eta(space)
-
-    def transport(dual: SpectralMap) -> dict:
-        return {x: dual.dual_map[unit.mapping[x].label] for x in space.elements}
-
     morphisms: List[dict] = []
     theta: List[Tuple[dict, dict]] = []
     for images in itertools.product(spec_poset.elements, repeat=len(space.elements)):
@@ -397,7 +401,7 @@ def enumerate_adjunction(space: FinitePoset, skeleton: SbalSkeleton, *,
         except NotAMorphism:
             continue
         morphisms.append(h)
-        theta.append((h, transport(dual)))
+        theta.append((h, ctx.transport(dual)))
 
     image_keys = [_map_key(t) for _, t in theta]
     bijective = (len(set(image_keys)) == len(image_keys)
@@ -430,11 +434,11 @@ def _check_naturality(space: FinitePoset, skeleton: SbalSkeleton,
     spec_poset = spec.as_poset()
     endos_space = enumerate_monotone_maps(space, space)
     endos_spec = enumerate_monotone_maps(spec_poset, spec_poset)
-    unit = eta(space)
+    label_of = {z: MaxIdeal(spec.algebra.block_of(z)).label for z in spec.algebra.carrier}
 
     def transported_of(point_map: dict) -> dict:
-        dual = dual_morphism(point_map, space, skeleton, seed=seed, samples=4, _ctx=ctx)
-        return {x: dual.dual_map[unit.mapping[x].label] for x in space.elements}
+        return ctx.transport(
+            dual_morphism(point_map, space, skeleton, seed=seed, samples=4, _ctx=ctx))
 
     if not theta:
         return True
@@ -457,9 +461,6 @@ def _check_naturality(space: FinitePoset, skeleton: SbalSkeleton,
             return False
 
         # Algebra-side square.
-        label_of = {z: MaxIdeal(spec.algebra.block_of(z)).label
-                    for z in spec.algebra.carrier}
-
         def beta(f: RationalFn) -> RationalFn:
             vals = phi(spec.algebra, f, spec)
             return RationalFn(spec.algebra.carrier,

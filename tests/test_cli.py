@@ -151,6 +151,18 @@ def test_malformed_json_is_input_error(tmp_path):
     assert run("validate", "--poset", str(path)).returncode == 2
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["validate", "--poset"], {"elements": [["p"], "q"], "leq": []}),
+    (["spectrum", "--oracle", "r2", "--algebra"],
+     {"carrier": [["x"], "y"], "blocks": [[["x"]], ["y"]]}),
+])
+def test_unhashable_labels_are_input_errors(docs, argv, doc):
+    res = run(*argv, docs("doc.json", doc))
+    assert res.returncode == 2
+    assert "must be a list of strings" in payload(res.stdout)["error"]
+    assert "Traceback" not in res.stderr
+
+
 def test_roundtrip_rejects_quasi_order(docs):
     res = run("roundtrip", "--poset", docs("loop.json", LOOP))
     assert res.returncode == 2

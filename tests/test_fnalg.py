@@ -225,6 +225,17 @@ def test_partition_canonical_form():
     assert not SubalgebraPartition.indiscrete(CARRIER).separates_points
 
 
+def test_partition_equality_ignores_label_order():
+    pq, qp = SubalgebraPartition.discrete("pq"), SubalgebraPartition.discrete("qp")
+    assert pq == qp and hash(pq) == hash(qp)
+    assert pq.carrier != qp.carrier       # each keeps its own label order
+    permuted = SubalgebraPartition(("r", "q", "p"), (("r",), ("q", "p")))
+    assert permuted == SubalgebraPartition(CARRIER, (("p", "q"), ("r",)))
+    assert SubalgebraPartition.indiscrete("pq") == SubalgebraPartition.indiscrete("qp")
+    assert SubalgebraPartition.indiscrete("pq") != pq
+    assert SubalgebraPartition.discrete("pr") != pq
+
+
 def test_partition_validation():
     with pytest.raises(UnknownElement):
         SubalgebraPartition(CARRIER, (("p", "q"),))

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordalg import (AntisymmetryViolation, EmptyCarrier, FinitePoset,
                     NotMonotone, QuasiOrder, RationalFn, TooLargeToEnumerate,
@@ -198,6 +200,36 @@ def test_enumerate_monotone_maps_against_brute_force():
             slow.add(tuple(sorted(h.items())))
     assert fast == slow
     assert len(fast) == 5
+
+
+@st.composite
+def quasi_orders(draw, max_size=6):
+    """A random quasi-order: random pairs, and some pairs made two-way."""
+    n = draw(st.integers(1, max_size))
+    labels = tuple(f"x{i}" for i in range(n))
+    label_pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    pairs = draw(st.lists(label_pairs, max_size=2 * n))
+    two_way = draw(st.lists(label_pairs, max_size=2))
+    pairs += two_way + [(y, x) for x, y in two_way]
+    return QuasiOrder(draw(st.permutations(labels)), pairs)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(order=quasi_orders(), codomain=quasi_orders(max_size=2),
+       values=st.lists(st.integers(0, 2), min_size=6, max_size=6))
+def test_cover_pairs_generate_the_relation(order, codomain, values):
+    covers = order.cover_pairs
+    assert QuasiOrder(order.elements, covers) == order
+    # No cover pair is implied by the others: the tuple is a reduction.
+    for i in range(len(covers)):
+        assert QuasiOrder(order.elements, covers[:i] + covers[i + 1:]) != order
+    f = RationalFn(order.elements, dict(zip(order.elements, values)))
+    for g in (f, monotone_envelope(f, order)):
+        assert is_monotone(g, order) == all(g(x) <= g(y) for x, y in order.pairs)
+    every = [dict(zip(order.elements, images))
+             for images in itertools.product(codomain.elements, repeat=len(order.elements))]
+    assert enumerate_monotone_maps(order, codomain) == [
+        h for h in every if all(codomain.leq(h[x], h[y]) for x, y in order.pairs)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

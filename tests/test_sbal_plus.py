@@ -88,6 +88,19 @@ def test_roundtrip_cap():
         roundtrip_pq(SbalSkeleton(chain("pqrs")))
 
 
+def test_wrong_decomposition_is_a_recompose_failure(monkeypatch):
+    real = q_decompose
+
+    def off_by_one(plus, m):
+        a, r = real(plus, m)
+        return a, r + 1
+
+    monkeypatch.setattr("ordalg.sbal_plus.q_decompose", off_by_one)
+    report = roundtrip_pq(SbalSkeleton(chain("pq")))
+    assert report.recompose_failures and not report.identical
+    assert not report.qp_mismatches and not report.pq_mismatches
+
+
 def test_roundtrip_routes_are_independent(monkeypatch):
     """A wrong decomposition route shows up: the grid compares two routes."""
     monkeypatch.setattr("ordalg.sbal_plus.q_contains",

@@ -1,11 +1,15 @@
 """Ordered spectra, the unit and evaluation maps, and the adjunction."""
 
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+import ordalg
 from ordalg import (AntisymmetryViolation, FinitePoset, MaxIdeal,
                     NotAMorphism, ProximityOracle, RationalFn, SbalSkeleton,
                     SubalgebraPartition, TooLargeToEnumerate, UnknownElement,
@@ -14,7 +18,7 @@ from ordalg import (AntisymmetryViolation, FinitePoset, MaxIdeal,
                     induced_order, is_monotone, phi, phi_respects_proximity,
                     point_ideal, posets_up_to, recover_point_map, spectrum)
 from ordalg.rng import rng_for, sample_values
-from ordalg.spectrum import apply_point_map
+from ordalg.spectrum import _AdjunctionContext, apply_point_map
 
 VEE = FinitePoset("abc", [("a", "c"), ("b", "c")])
 
@@ -207,6 +211,58 @@ def test_dual_morphism_rejects_non_monotone_maps():
     assert err.value.details["pair"] == ["a", "b"]
     with pytest.raises(UnknownElement):
         dual_morphism({"a": "M(p)", "b": "nope"}, space, skeleton)
+
+
+REVERSED_CHAIN_MAP = """
+from ordalg import NotAMorphism, SbalSkeleton, chain, dual_morphism
+try:
+    dual_morphism({"a": "M(r)", "b": "M(q)", "c": "M(p)"}, chain("abc"),
+                  SbalSkeleton(chain("pqr")))
+except NotAMorphism as exc:
+    print(*exc.details["pair"])
+"""
+
+
+def test_not_a_morphism_names_the_first_failing_pair():
+    """The pair comes from ``sorted_pairs``, whatever the string hash seed."""
+    with pytest.raises(NotAMorphism) as err:
+        dual_morphism({"a": "M(r)", "b": "M(q)", "c": "M(p)"}, chain("abc"),
+                      SbalSkeleton(chain("pqr")))
+    assert err.value.details == {"pair": ["a", "b"], "images": ["M(r)", "M(q)"]}
+    src = os.path.dirname(os.path.dirname(ordalg.__file__))
+    for hash_seed in ("0", "2"):
+        res = subprocess.run([sys.executable, "-c", REVERSED_CHAIN_MAP],
+                             env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert res.stdout.split() == ["a", "b"]
+
+
+def test_dual_morphism_shared_context_matches_a_fresh_one():
+    """Every point map between 3-point posets: the same map, or both raise.
+
+    The shared context serves two sample counts in turn, as it does inside
+    enumerate_adjunction, and a map is accepted iff it is monotone on every
+    pair of the space.
+    """
+    for space in enumerate_posets(3, "abc"):
+        for target in enumerate_posets(3, "pqr"):
+            skeleton = SbalSkeleton(target)
+            ctx = _AdjunctionContext(space, skeleton)
+            spec_order = ctx.spec.order
+            maps = itertools.product(spec_order.elements, repeat=3)
+            for k, images in enumerate(maps):
+                h = dict(zip(space.elements, images))
+                outcomes = []
+                for shared in (ctx, None):
+                    try:
+                        dual = dual_morphism(h, space, skeleton, seed=3, samples=(4, 8)[k % 2],
+                                             _ctx=shared)
+                        outcomes.append(dual.to_dict())
+                    except NotAMorphism as exc:
+                        outcomes.append(exc.details)
+                assert outcomes[0] == outcomes[1]
+                monotone = all(spec_order.leq(h[x], h[y]) for x, y in space.pairs)
+                assert ("point_map" in outcomes[0]) == monotone
 
 
 def test_apply_point_map_acts_by_composition():
