@@ -24,7 +24,7 @@ from .order import (FinitePoset, QuasiOrder, antichain, antisymmetrize,
                     require_monotone)
 from .proximity import (ProximityOracle, check_axioms, combined_order,
                         is_nachbin, positive_below, prox_decide, r2_decide,
-                        relative_skeleton, separation_point)
+                        separation_point)
 from .rng import DEFAULT_SEED, child_seed, rng_for
 from .sbal import (AxiomReport, AxiomResult, EnvelopePair, SbalSkeleton,
                    archimedean_premise, check_skeleton_axioms,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .approx import DIEUDONNE_STEP_CAP, dieudonne_sequence, sw_approximate
 from .errors import (CarrierMismatch, EmptyCarrier, NonPositiveEpsilon,
@@ -61,6 +61,29 @@ def _emit(lines: Sequence[str], payload: dict) -> None:
     for line in lines:
         print(line)
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+
+
+def _pass_fail(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _verdict(name: str, ok: bool, note: str, payload: dict, lines: Sequence[str] = ()) -> int:
+    """Print the summary lines, "name: PASS|FAIL (note)" and the JSON; 0 on PASS, else 1."""
+    _emit([*lines, f"{name}: {_pass_fail(ok)}" + (f" ({note})" if note else "")], payload)
+    return 0 if ok else 1
+
+
+def _antisymmetry_verdict(name: str, order: QuasiOrder, expect_quasi: bool, payload: dict,
+                          size: str, expected: str, failure: str, **extra) -> int:
+    """PASS on a partial order; a two-way pair passes only under --expect-quasi."""
+    pair = order.two_way_pair()
+    if pair is None:
+        return _verdict(name, True, f"{size}, partial order", payload)
+    x, y = pair
+    payload["counterexample"] = {"pair": [x, y], **extra}
+    if expect_quasi:
+        return _verdict(name, True, f"{expected}{x} and {y} are order-equivalent", payload)
+    return _verdict(name, False, f"{failure} on {x}, {y}", payload)
 
 
 # -- document loading --------------------------------------------------
@@ -178,29 +201,14 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise _InputError(f"{flag} needs a rational like 3 or 1/8, got {text!r}") from exc
 
 
-def _two_way_pair(order: QuasiOrder) -> List[str]:
-    for x, y in order.sorted_pairs():
-        if x != y and order.leq(y, x):
-            return [x, y]
-    raise AssertionError("no antisymmetry violation present")
-
-
 # -- commands ----------------------------------------------------------
 
 def cmd_validate(args) -> int:
     order = _order_from_doc(_load_doc(args.poset), antisymmetric=False)
     payload = {"order": order.to_dict(), "antisymmetric": order.is_antisymmetric}
-    if order.is_antisymmetric:
-        _emit([f"validate: PASS ({len(order.elements)} elements, partial order)"], payload)
-        return 0
-    pair = _two_way_pair(order)
-    payload["counterexample"] = {"pair": pair}
-    if args.expect_quasi:
-        _emit([f"validate: PASS (quasi-order; {pair[0]} and {pair[1]} are order-equivalent)"],
-              payload)
-        return 0
-    _emit([f"validate: FAIL (antisymmetry fails on {pair[0]}, {pair[1]})"], payload)
-    return 1
+    return _antisymmetry_verdict("validate", order, args.expect_quasi, payload,
+                                 f"{len(order.elements)} elements", "quasi-order; ",
+                                 "antisymmetry fails")
 
 
 def cmd_envelope(args) -> int:
@@ -210,8 +218,7 @@ def cmd_envelope(args) -> int:
     payload = {"direction": args.direction, "function": f.to_dict(),
                "envelope": env.to_dict(),
                "already_member": is_monotone(f, skeleton.order)}
-    _emit([f"envelope: PASS ({args.direction} envelope computed)"], payload)
-    return 0
+    return _verdict("envelope", True, f"{args.direction} envelope computed", payload)
 
 
 def cmd_prox(args) -> int:
@@ -222,12 +229,10 @@ def cmd_prox(args) -> int:
     payload = {"related": related, "left": a.to_dict(), "right": b.to_dict()}
     if related:
         payload["witness"] = witness.to_dict()
-        _emit(["prox: PASS (related; interpolating member reported)"], payload)
-        return 0
+        return _verdict("prox", True, "related; interpolating member reported", payload)
     payload["counterexample"] = separation_point(oracle, a, b)
     point = payload["counterexample"]["point"]
-    _emit([f"prox: FAIL (not related; envelope exceeds bound at {point})"], payload)
-    return 1
+    return _verdict("prox", False, f"not related; envelope exceeds bound at {point}", payload)
 
 
 def cmd_axioms(args) -> int:
@@ -248,20 +253,14 @@ def cmd_axioms(args) -> int:
                 verdict = "VACUOUS"
                 failed.append(res.name)
             else:
-                verdict = "PASS" if res.passed else "FAIL"
+                verdict = _pass_fail(res.passed)
                 if not res.passed:
                     failed.append(res.name)
             lines.append(f"{res.name}: {verdict} "
                          f"({res.premise_hits}/{res.checked} premise hits)")
     payload = {"proximity": prox_report.to_dict(), "skeleton": skel_report.to_dict(),
                "failed": failed}
-    if failed:
-        lines.append(f"axioms: FAIL ({', '.join(failed)})")
-        _emit(lines, payload)
-        return 1
-    lines.append("axioms: PASS")
-    _emit(lines, payload)
-    return 0
+    return _verdict("axioms", not failed, ", ".join(failed), payload, lines)
 
 
 def cmd_spectrum(args) -> int:
@@ -271,8 +270,7 @@ def cmd_spectrum(args) -> int:
     payload = {"algebra": algebra.to_dict(),
                "points": [{"label": p.label, "block": list(p.block)} for p in points],
                "separates_points": algebra.separates_points}
-    _emit([f"spectrum: PASS ({len(points)} maximal ideals)"], payload)
-    return 0
+    return _verdict("spectrum", True, f"{len(points)} maximal ideals", payload)
 
 
 def cmd_induced_order(args) -> int:
@@ -283,18 +281,10 @@ def cmd_induced_order(args) -> int:
                "nachbin": is_nachbin(algebra, oracle),
                "certificates": [{"pair": [x, y], "witness": w.to_dict()["values"]}
                                 for (x, y), w in sorted(spec.certificates.items())]}
-    if spec.is_partial_order:
-        _emit([f"induced-order: PASS ({len(spec.points)} points, partial order)"], payload)
-        return 0
-    pair = _two_way_pair(spec.order)
-    payload["counterexample"] = {"pair": pair, "note": "order fails antisymmetry"}
-    if args.expect_quasi:
-        _emit([f"induced-order: PASS (order fails antisymmetry as expected: "
-               f"{pair[0]} and {pair[1]} are order-equivalent)"], payload)
-        return 0
-    _emit([f"induced-order: FAIL (order fails antisymmetry on {pair[0]}, {pair[1]})"],
-          payload)
-    return 1
+    return _antisymmetry_verdict("induced-order", spec.order, args.expect_quasi, payload,
+                                 f"{len(spec.points)} points",
+                                 "order fails antisymmetry as expected: ",
+                                 "order fails antisymmetry", note="order fails antisymmetry")
 
 
 def cmd_roundtrip(args) -> int:
@@ -304,15 +294,12 @@ def cmd_roundtrip(args) -> int:
     phi_report = phi_respects_proximity(space, samples=samples, seed=args.seed)
     payload = {"eta": eta_report.to_dict(), "phi": phi_report.to_dict()}
     lines = [
-        "eta order isomorphism: " + ("PASS" if eta_report.is_order_isomorphism else "FAIL"),
+        "eta order isomorphism: " + _pass_fail(eta_report.is_order_isomorphism),
         f"phi preserves/reflects relation on {phi_report.checked} pairs: "
-        + ("PASS" if phi_report.ok else "FAIL"),
+        + _pass_fail(phi_report.ok),
     ]
-    if eta_report.is_order_isomorphism and phi_report.ok:
-        _emit(lines + ["roundtrip: PASS"], payload)
-        return 0
-    _emit(lines + ["roundtrip: FAIL"], payload)
-    return 1
+    return _verdict("roundtrip", eta_report.is_order_isomorphism and phi_report.ok, "",
+                    payload, lines)
 
 
 def cmd_sw_approx(args) -> int:
@@ -323,12 +310,10 @@ def cmd_sw_approx(args) -> int:
     error = (f - certificate.approximant).sup_norm()
     payload = {"certificate": certificate.to_dict(), "error": str(error)}
     if error <= epsilon:
-        _emit([f"sw-approx: PASS (sup-norm error {error} <= {epsilon}, "
-               f"family size {certificate.family_size})"], payload)
-        return 0
+        return _verdict("sw-approx", True, f"sup-norm error {error} <= {epsilon}, "
+                        f"family size {certificate.family_size}", payload)
     payload["counterexample"] = {"error": str(error), "epsilon": str(epsilon)}
-    _emit([f"sw-approx: FAIL (sup-norm error {error} > {epsilon})"], payload)
-    return 1
+    return _verdict("sw-approx", False, f"sup-norm error {error} > {epsilon}", payload)
 
 
 def cmd_dieudonne(args) -> int:
@@ -340,10 +325,8 @@ def cmd_dieudonne(args) -> int:
     payload = {"trace": trace.to_dict()}
     if violations:
         payload["counterexample"] = violations[0]
-        _emit([f"dieudonne: FAIL ({len(violations)} bound violations)"], payload)
-        return 1
-    _emit([f"dieudonne: PASS ({trace.steps} steps, bounds hold)"], payload)
-    return 0
+        return _verdict("dieudonne", False, f"{len(violations)} bound violations", payload)
+    return _verdict("dieudonne", True, f"{trace.steps} steps, bounds hold", payload)
 
 
 def cmd_adjunction(args) -> int:
@@ -358,26 +341,19 @@ def cmd_adjunction(args) -> int:
     lines = [
         f"hom-sets: {len(report.monotone_maps)} monotone maps, "
         f"{len(report.morphism_maps)} morphisms",
-        "theta bijective: " + ("PASS" if report.bijective else "FAIL"),
-        "naturality: " + ("PASS" if report.naturality_ok else "FAIL"),
+        "theta bijective: " + _pass_fail(report.bijective),
+        "naturality: " + _pass_fail(report.naturality_ok),
     ]
-    if report.bijective and report.naturality_ok:
-        _emit(lines + ["adjunction: PASS"], payload)
-        return 0
-    _emit(lines + ["adjunction: FAIL"], payload)
-    return 1
+    return _verdict("adjunction", report.bijective and report.naturality_ok, "",
+                    payload, lines)
 
 
 def cmd_pq_roundtrip(args) -> int:
     skeleton = _skeleton_from(args)
     report = roundtrip_pq(skeleton)
-    payload = report.to_dict()
-    if report.identical:
-        _emit([f"pq-roundtrip: PASS ({report.checked} grid functions, "
-               "memberships identical)"], payload)
-        return 0
-    _emit(["pq-roundtrip: FAIL (membership mismatch)"], payload)
-    return 1
+    note = (f"{report.checked} grid functions, memberships identical" if report.identical
+            else "membership mismatch")
+    return _verdict("pq-roundtrip", report.identical, note, report.to_dict())
 
 
 # -- parser ------------------------------------------------------------
@@ -506,10 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _InputError as exc:
-        _emit([f"error: {exc}"], {"error": str(exc), "details": exc.details})
-        return 2
-    except INPUT_ERRORS as exc:
+    except (_InputError, *INPUT_ERRORS) as exc:
         _emit([f"error: {exc}"], {"error": str(exc), "details": exc.details})
         return 2
     except OrdalgError as exc:

@@ -54,8 +54,8 @@ class NotBlockConstant(OrdalgError):
     """A function is not constant on the blocks of the given partition."""
 
 
-class NotMonotone(OrdalgError):
-    """A function required to be order-preserving is not."""
+class NotMonotone(NotInSkeleton):
+    """A function required to be order-preserving, i.e. in the monotone cone, is not."""
 
 
 class NonPositiveEpsilon(OrdalgError):

@@ -6,10 +6,12 @@ square, so a :class:`FinitePoset` is exactly a finite ordered compact
 space and a :class:`QuasiOrder` its non-antisymmetric generalization.
 Constructors take any generating relation and close it reflexively and
 transitively, and reject unknown labels; :class:`FinitePoset` also rejects
-two-way pairs.  Each order also keeps ``cover_pairs``, a fixed tuple
-generating the relation: a cycle through each two-way class plus the
-covers between classes (the transitive reduction; Aho, Garey and Ullman,
-SIAM J. Comput. 1972).  Monotonicity is checked on that tuple alone.
+two-way pairs.  Each order stores its two-way classes, found once at
+construction and read by every order fact that needs them, and
+``cover_pairs``, a fixed tuple generating the relation: a cycle through
+each two-way class plus the covers between classes (the transitive
+reduction; Aho, Garey and Ullman, SIAM J. Comput. 1972).  Monotonicity is
+checked on that tuple alone; only a failure is named from all pairs.
 
 The order-theoretic core of the package lives here:
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     AntisymmetryViolation,
@@ -49,7 +51,7 @@ class QuasiOrder:
     declaration order, which makes every derived output deterministic.
     """
 
-    __slots__ = ("elements", "_index", "_leq", "_down", "_up", "_covers")
+    __slots__ = ("elements", "_index", "_leq", "_down", "_up", "_blocks", "_covers")
 
     def __init__(self, elements: Sequence[str], pairs: Iterable[Pair] = ()):
         elements = tuple(elements)
@@ -75,11 +77,13 @@ class QuasiOrder:
         leq = frozenset((x, y) for x in elements for y in succ[x])
         # Cover pairs: a cycle through each two-way class, then covers between class heads.
         head: Dict[str, str] = {}
+        blocks: List[tuple] = []
         covers: List[Pair] = []
         for x in elements:
             if x in head:
                 continue
             block = [y for y in up[x] if x in succ[y]]
+            blocks.append(tuple(block))
             for y in block:
                 head[y] = x
             if len(block) > 1:
@@ -96,6 +100,7 @@ class QuasiOrder:
         object.__setattr__(self, "_leq", leq)
         object.__setattr__(self, "_down", down)
         object.__setattr__(self, "_up", up)
+        object.__setattr__(self, "_blocks", tuple(blocks))
         object.__setattr__(self, "_covers", tuple(covers))
 
     def __setattr__(self, name, value):
@@ -120,10 +125,6 @@ class QuasiOrder:
         self._check(y)
         return (x, y) in self._leq
 
-    def strictly_below(self, x: str, y: str) -> bool:
-        """x <= y but not y <= x."""
-        return self.leq(x, y) and not self.leq(y, x)
-
     def downset(self, x: str) -> tuple:
         self._check(x)
         return self._down[x]
@@ -140,19 +141,16 @@ class QuasiOrder:
 
     @property
     def is_antisymmetric(self) -> bool:
-        return all(not (self.leq(y, x) and x != y) for x, y in self._leq)
+        return len(self._blocks) == len(self.elements)
 
     def equiv_blocks(self) -> tuple:
         """Classes of the two-way relation x <= y <= x, in carrier order."""
-        seen = set()
-        blocks = []
-        for x in self.elements:
-            if x in seen:
-                continue
-            block = tuple(y for y in self.elements if self.leq(x, y) and self.leq(y, x))
-            seen.update(block)
-            blocks.append(block)
-        return tuple(blocks)
+        return self._blocks
+
+    def two_way_pair(self) -> Optional[Pair]:
+        """The first pair x != y with x <= y <= x in ``sorted_pairs`` order, or None."""
+        # Its x is the head of the first class of two or more, y that class's next member.
+        return next(((b[0], b[1]) for b in self._blocks if len(b) > 1), None)
 
     def strict_pairs(self) -> list:
         """All pairs (x, y) with x <= y and not y <= x, in carrier order."""
@@ -160,8 +158,8 @@ class QuasiOrder:
                 if (x, y) in self._leq and (y, x) not in self._leq]
 
     def sorted_pairs(self) -> list:
-        idx = self._index
-        return sorted(self._leq, key=lambda p: (idx[p[0]], idx[p[1]]))
+        """All pairs, by the carrier index of the lower then the upper element."""
+        return [(x, y) for x in self.elements for y in self._up[x]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiOrder):
@@ -186,11 +184,11 @@ class FinitePoset(QuasiOrder):
 
     def __init__(self, elements: Sequence[str], pairs: Iterable[Pair] = ()):
         super().__init__(elements, pairs)
-        for x, y in self.sorted_pairs():
-            if x != y and (y, x) in self.pairs:
-                raise AntisymmetryViolation(
-                    f"{x!r} <= {y!r} <= {x!r} with {x!r} != {y!r}",
-                    {"pair": [x, y]})
+        pair = self.two_way_pair()
+        if pair is not None:
+            x, y = pair
+            raise AntisymmetryViolation(f"{x!r} <= {y!r} <= {x!r} with {x!r} != {y!r}",
+                                        {"pair": [x, y]})
 
 
 def chain(labels: Sequence[str]) -> FinitePoset:
@@ -217,12 +215,13 @@ def is_monotone(f: RationalFn, order: QuasiOrder) -> bool:
 
 
 def require_monotone(f: RationalFn, order: QuasiOrder) -> None:
-    check_carrier(f.carrier, order.elements)
-    for x, y in order.sorted_pairs():
-        if f.values[x] > f.values[y]:
-            raise NotMonotone(f"f({x!r}) > f({y!r}) although {x!r} <= {y!r}",
-                              {"pair": [x, y],
-                               "values": [str(f.values[x]), str(f.values[y])]})
+    """Raise NotMonotone naming the first failing pair in ``sorted_pairs`` order."""
+    if is_monotone(f, order):
+        return
+    values = f.values
+    x, y = next((x, y) for x, y in order.sorted_pairs() if values[x] > values[y])
+    raise NotMonotone(f"f({x!r}) > f({y!r}) although {x!r} <= {y!r}",
+                      {"pair": [x, y], "values": [str(values[x]), str(values[y])]})
 
 
 def monotone_envelope(f: RationalFn, order: QuasiOrder, direction: str = "upper") -> RationalFn:
@@ -271,11 +270,10 @@ def linear_extension(poset: QuasiOrder) -> Dict[str, int]:
     Kahn's scheme, always taking the first minimal element in carrier
     order, so equal inputs give equal rankings.  Requires antisymmetry.
     """
-    if not poset.is_antisymmetric:
-        x, y = next((x, y) for x, y in poset.sorted_pairs()
-                    if x != y and (y, x) in poset.pairs)
+    pair = poset.two_way_pair()
+    if pair is not None:
         raise AntisymmetryViolation("cannot rank a relation with a two-way pair",
-                                    {"pair": [x, y]})
+                                    {"pair": list(pair)})
     remaining = list(poset.elements)
     rank: Dict[str, int] = {}
     while remaining:

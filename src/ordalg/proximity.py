@@ -305,11 +305,6 @@ def combined_order(oracle: ProximityOracle, algebra: SubalgebraPartition) -> Qua
     return QuasiOrder(oracle.skeleton.order.elements, pairs)
 
 
-def relative_skeleton(oracle: ProximityOracle, algebra: SubalgebraPartition) -> SbalSkeleton:
-    """The cone of reflexive elements inside the given subalgebra."""
-    return SbalSkeleton(combined_order(oracle, algebra))
-
-
 def is_nachbin(algebra: SubalgebraPartition, oracle: ProximityOracle) -> bool:
     """Density of the envelope of the relative cone in the subalgebra.
 

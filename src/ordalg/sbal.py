@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import rng as rngmod
-from .errors import CarrierMismatch, NotAMorphism, NotInSkeleton, NotRepresentable
+from .errors import CarrierMismatch, NotAMorphism, NotRepresentable
 from .fnalg import RationalFn, SubalgebraPartition, as_fraction
 from .order import (
     QuasiOrder,
@@ -42,6 +42,7 @@ from .order import (
     is_monotone,
     linear_extension,
     monotone_envelope,
+    require_monotone,
 )
 
 
@@ -67,12 +68,7 @@ class SbalSkeleton:
         return self.contains(f) and f.ge(0)
 
     def require_member(self, f: RationalFn) -> None:
-        if not self.contains(f):
-            x, y = next((x, y) for x, y in self.order.sorted_pairs()
-                        if f.values[x] > f.values[y])
-            raise NotInSkeleton(f"not order-preserving on {x!r} <= {y!r}",
-                                {"pair": [x, y],
-                                 "values": [str(f.values[x]), str(f.values[y])]})
+        require_monotone(f, self.order)
 
     def envelope(self, f: RationalFn) -> RationalFn:
         """Least member above f; equals f exactly when f is a member."""

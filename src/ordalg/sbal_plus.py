@@ -26,7 +26,7 @@ from typing import List, Tuple
 
 from .errors import NotInSkeleton, TooLargeToEnumerate
 from .fnalg import RationalFn, as_fraction
-from .order import QuasiOrder, is_monotone
+from .order import QuasiOrder, is_monotone, require_monotone
 from .sbal import SbalSkeleton
 
 GRID_CAP = 3
@@ -51,8 +51,7 @@ class SbalPlusSkeleton:
         return is_monotone(f, self.order) and f.ge(0)
 
     def require_member(self, f: RationalFn) -> None:
-        if not is_monotone(f, self.order):
-            SbalSkeleton(self.order).require_member(f)  # raises, naming the pair
+        require_monotone(f, self.order)
         if not f.ge(0):
             x = next(x for x in f.carrier if f.values[x] < 0)
             raise NotInSkeleton(f"negative value at {x!r}",
@@ -90,11 +89,10 @@ def q_decompose(plus: SbalPlusSkeleton, m: RationalFn) -> Tuple[RationalFn, Frac
     """Write a signed member as a - r with a in the positive cone.
 
     The canonical choice shifts by exactly the negative excursion of m.
-    Raises NotInSkeleton when m is not in the shift closure (that is, not
-    monotone).
+    Raises NotMonotone, a NotInSkeleton, when m is not in the shift
+    closure (that is, not monotone).
     """
-    if not is_monotone(m, plus.order):
-        SbalSkeleton(plus.order).require_member(m)  # raises, naming the pair
+    require_monotone(m, plus.order)
     r = max(Fraction(0), -m.min_value())
     a = m + r
     plus.require_member(a)

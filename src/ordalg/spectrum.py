@@ -84,14 +84,17 @@ def canonical_witness(order: QuasiOrder, block: tuple) -> RationalFn:
 class OrderedSpectrum:
     """The spectrum of a subalgebra with its proximity-induced order.
 
-    ``certificates`` maps every failing relation (x, y) to the canonical
-    witness c*_y showing thd(M_y) is not contained in M_x.
+    ``base`` is the combined order presenting the relative cone and
+    ``witnesses`` the canonical witness c*_y of each point; ``certificates``
+    maps each failing relation (x, y) to c*_y, which shows it.
     """
 
     algebra: SubalgebraPartition
     points: Tuple[MaxIdeal, ...]
     order: QuasiOrder
     certificates: Dict[Tuple[str, str], RationalFn]
+    base: QuasiOrder
+    witnesses: List[RationalFn]
 
     @property
     def is_partial_order(self) -> bool:
@@ -110,17 +113,17 @@ def induced_order(algebra: SubalgebraPartition, oracle: ProximityOracle) -> Orde
     """Order the spectrum by thd-containment, decided by canonical witnesses."""
     order = combined_order(oracle, algebra)
     points = spectrum(algebra)
-    witnesses = {p: canonical_witness(order, p.block) for p in points}
+    witnesses = [canonical_witness(order, p.block) for p in points]
     pairs = []
     certificates: Dict[Tuple[str, str], RationalFn] = {}
     for px in points:
-        for py in points:
-            if witnesses[py].values[px.block[0]] == 0:
+        for py, w in zip(points, witnesses):
+            if w.values[px.block[0]] == 0:
                 pairs.append((px.label, py.label))
             else:
-                certificates[(px.label, py.label)] = witnesses[py]
+                certificates[(px.label, py.label)] = w
     spec_order = QuasiOrder(tuple(p.label for p in points), pairs)
-    return OrderedSpectrum(algebra, points, spec_order, certificates)
+    return OrderedSpectrum(algebra, points, spec_order, certificates, order, witnesses)
 
 
 @dataclass
@@ -241,19 +244,18 @@ def apply_point_map(source_spec: OrderedSpectrum, point_map: Mapping[str, str],
 class _AdjunctionContext:
     """Spectral data shared by the legality checks of one call over (space, skeleton).
 
-    The spectrum, canonical witnesses, relative skeleton, space cone, the
-    unit's point labels, and the probe values on the spectrum per (seed, samples).
+    The spectrum (with its combined order and canonical witnesses), the
+    relative skeleton, space cone, the unit's point labels M(x), and the
+    probe values on the spectrum per (seed, samples).
     """
 
     def __init__(self, space: FinitePoset, skeleton: SbalSkeleton):
-        oracle = ProximityOracle.from_skeleton(skeleton)
-        algebra = concrete_envelope(skeleton)
-        order = combined_order(oracle, algebra)
-        self.spec = induced_order(algebra, oracle)
-        self.relative = SbalSkeleton(order)
-        self.witnesses = [canonical_witness(order, p.block) for p in self.spec.points]
+        self.spec = induced_order(concrete_envelope(skeleton),
+                                  ProximityOracle.from_skeleton(skeleton))
+        self.relative = SbalSkeleton(self.spec.base)
         self.space_cone = SbalSkeleton(space)
-        self.unit_labels = {x: m.label for x, m in eta(space).mapping.items()}
+        full = SubalgebraPartition.discrete(space.elements)
+        self.unit_labels = {x: point_ideal(full, x).label for x in space.elements}
         self._probes: Dict[Tuple[int, int], list] = {}
 
     def probe_values(self, seed: int, samples: int) -> list:
@@ -261,7 +263,7 @@ class _AdjunctionContext:
         key = (seed, samples)
         if key not in self._probes:
             rng = rngmod.rng_for(seed, "dual-morphism")
-            probes = self.witnesses + [self.relative.sample_member(rng) for _ in range(samples)]
+            probes = self.spec.witnesses + [self.relative.sample_member(rng) for _ in range(samples)]
             self._probes[key] = [phi(self.spec.algebra, s, self.spec).values for s in probes]
         return self._probes[key]
 
@@ -434,7 +436,7 @@ def _check_naturality(space: FinitePoset, skeleton: SbalSkeleton,
     spec_poset = spec.as_poset()
     endos_space = enumerate_monotone_maps(space, space)
     endos_spec = enumerate_monotone_maps(spec_poset, spec_poset)
-    label_of = {z: MaxIdeal(spec.algebra.block_of(z)).label for z in spec.algebra.carrier}
+    label_of = {z: point_ideal(spec.algebra, z).label for z in spec.algebra.carrier}
 
     def transported_of(point_map: dict) -> dict:
         return ctx.transport(

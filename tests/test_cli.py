@@ -6,6 +6,7 @@ byte-identical across runs with the same inputs and seed.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -26,9 +27,15 @@ R2_UP = {"carrier": ["x", "y"], "values": {"x": "0", "y": "1"}}
 R2_DOWN = {"carrier": ["x", "y"], "values": {"x": "1", "y": "0"}}
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# The child process imports ordalg from this checkout, installed or not.
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def run(*args):
     return subprocess.run([sys.executable, "-m", "ordalg.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
 
 
 def payload(stdout: str) -> dict:
@@ -311,6 +318,64 @@ def test_pq_roundtrip_grid(docs):
 
 def test_main_is_directly_callable(docs):
     assert main(["spectrum", "--oracle", "r2"]) == 0
+
+
+def test_verdict_lines_in_process(docs, capsys):
+    """Exit code and exact verdict line of every reachable PASS and FAIL path."""
+    chain2, loop, skel = docs("chain2.json", CHAIN2), docs("loop.json", LOOP), docs("s.json", SKEL)
+    f01, f10 = docs("f01.json", F01), docs("f10.json", F10)
+    zero, one = docs("zero.json", R2_ZERO), docs("one.json", R2_ONE)
+    cases = [
+        (["validate", "--poset", chain2], 0, "validate: PASS (2 elements, partial order)"),
+        (["validate", "--poset", chain2, "--expect-quasi"], 0,
+         "validate: PASS (2 elements, partial order)"),
+        (["validate", "--poset", loop], 1, "validate: FAIL (antisymmetry fails on p, q)"),
+        (["validate", "--poset", loop, "--expect-quasi"], 0,
+         "validate: PASS (quasi-order; p and q are order-equivalent)"),
+        (["envelope", "--poset", chain2, "--function", f10, "--direction", "upper"], 0,
+         "envelope: PASS (upper envelope computed)"),
+        (["prox", "--skeleton", skel, "--left", f01, "--right", f01], 0,
+         "prox: PASS (related; interpolating member reported)"),
+        (["prox", "--skeleton", skel, "--left", f10, "--right", f10], 1,
+         "prox: FAIL (not related; envelope exceeds bound at q)"),
+        (["axioms", "--oracle", "r2", "--samples", "3"], 0, "axioms: PASS"),
+        (["axioms", "--oracle", "r2", "--samples", "1"], 1, "axioms: FAIL (P2, P6, P7)"),
+        (["spectrum", "--oracle", "r2"], 0, "spectrum: PASS (2 maximal ideals)"),
+        (["induced-order", "--skeleton", skel], 0,
+         "induced-order: PASS (2 points, partial order)"),
+        (["induced-order", "--skeleton", skel, "--expect-quasi"], 0,
+         "induced-order: PASS (2 points, partial order)"),
+        (["induced-order", "--oracle", "r2"], 1,
+         "induced-order: FAIL (order fails antisymmetry on M(x), M(y))"),
+        (["induced-order", "--oracle", "r2", "--expect-quasi"], 0,
+         "induced-order: PASS (order fails antisymmetry as expected: "
+         "M(x) and M(y) are order-equivalent)"),
+        (["roundtrip", "--poset", chain2, "--samples", "5"], 0, "roundtrip: PASS"),
+        (["sw-approx", "--poset", chain2, "--function", f01, "--eps", "1/4"], 0,
+         "sw-approx: PASS (sup-norm error 1/8 <= 1/4, family size 2)"),
+        (["sw-approx", "--poset", chain2, "--function", f10, "--eps", "1/4"], 1,
+         "FAIL: f('p') > f('q') although 'p' <= 'q'"),
+        (["dieudonne", "--oracle", "r2", "--left", zero, "--right", one, "--steps", "2"], 0,
+         "dieudonne: PASS (2 steps, bounds hold)"),
+        (["dieudonne", "--oracle", "r2", "--left", one, "--right", zero, "--steps", "2"], 1,
+         "FAIL: no stream pair landed within the tolerance"),
+        (["adjunction", "--poset", chain2], 0, "adjunction: PASS"),
+        (["pq-roundtrip", "--poset", chain2], 0,
+         "pq-roundtrip: PASS (289 grid functions, memberships identical)"),
+    ]
+    for argv, code, verdict in cases:
+        assert main(argv) == code, argv
+        lines = capsys.readouterr().out.splitlines()
+        summary = lines[:lines.index("{")]
+        assert summary[-1] == verdict, argv
+        if argv[:1] == ["roundtrip"]:
+            assert summary[:-1] == ["eta order isomorphism: PASS",
+                                    "phi preserves/reflects relation on 5 pairs: PASS"]
+        if argv[:1] == ["adjunction"]:
+            assert summary[-3:-1] == ["theta bijective: PASS", "naturality: PASS"]
+        if argv == ["axioms", "--oracle", "r2", "--samples", "1"]:
+            assert [x for x in summary if "VACUOUS" in x] == [
+                f"{name}: VACUOUS (0/1 premise hits)" for name in ("P2", "P6", "P7")]
 
 
 def test_carrier_mismatch_is_input_error(docs):

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordalg import (AntisymmetryViolation, EmptyCarrier, FinitePoset,
-                    NotMonotone, QuasiOrder, RationalFn, TooLargeToEnumerate,
+                    NotInSkeleton, NotMonotone, QuasiOrder, RationalFn,
+                    SbalPlusSkeleton, SbalSkeleton, TooLargeToEnumerate,
                     UnknownElement, antichain, antisymmetrize, chain,
                     complete_quasi_order, enumerate_monotone_maps,
                     enumerate_posets, is_monotone, linear_extension,
-                    monotone_envelope, posets_up_to, random_poset,
-                    require_monotone)
+                    monotone_envelope, posets_up_to, q_decompose,
+                    random_poset, require_monotone, sw_approximate)
 from ordalg.rng import rng_for, sample_values
 
 # Iso-class and labeled counts of finite posets; frozen from an
@@ -82,8 +83,8 @@ def test_downsets_and_upsets():
     assert v.downset("c") == ("a", "b", "c")
     assert v.downset("a") == ("a",)
     assert v.upset("a") == ("a", "c")
-    assert v.strictly_below("a", "c")
-    assert not v.strictly_below("a", "b")
+    assert v.leq("a", "c") and not v.leq("c", "a")
+    assert not v.leq("a", "b")
     assert v.downset_of(("a", "b")) == ("a", "b")
 
 
@@ -116,6 +117,26 @@ def test_is_monotone_and_require():
     permuted = RationalFn("ba", {"a": 1, "b": 0})
     assert not is_monotone(permuted, c)
     assert monotone_envelope(permuted, c).carrier == c.elements
+
+
+def test_every_monotone_check_names_the_same_failing_pair():
+    """One raise site: the first failing pair in index order, from all five callers."""
+    order = QuasiOrder(("d", "a", "b", "c"), [("a", "b"), ("b", "a"), ("b", "c"), ("d", "c")])
+    f = RationalFn(order.elements, {"d": 0, "a": 1, "b": 0, "c": 2})
+    first = next([x, y] for x in order.elements for y in order.elements
+                 if order.leq(x, y) and f(x) > f(y))
+    assert first == ["a", "b"]
+    plus = SbalPlusSkeleton(order)
+    calls = [lambda: require_monotone(f, order),
+             lambda: SbalSkeleton(order).require_member(f),
+             lambda: plus.require_member(f),
+             lambda: q_decompose(plus, f),
+             lambda: sw_approximate(f, SbalSkeleton(order), Fraction(1, 4))]
+    for call in calls:
+        with pytest.raises(NotInSkeleton) as err:
+            call()
+        assert isinstance(err.value, NotMonotone)
+        assert err.value.details["pair"] == first
 
 
 @pytest.mark.parametrize("direction", ["upper", "lower"])
@@ -230,6 +251,19 @@ def test_cover_pairs_generate_the_relation(order, codomain, values):
              for images in itertools.product(codomain.elements, repeat=len(order.elements))]
     assert enumerate_monotone_maps(order, codomain) == [
         h for h in every if all(codomain.leq(h[x], h[y]) for x, y in order.pairs)]
+    # The stored classes and the facts read off them, against all pairs.
+    index = {x: i for i, x in enumerate(order.elements)}
+    by_index = sorted(order.pairs, key=lambda p: (index[p[0]], index[p[1]]))
+    assert order.sorted_pairs() == by_index
+    two_way = [(x, y) for x, y in by_index if x != y and (y, x) in order.pairs]
+    assert order.two_way_pair() == (two_way[0] if two_way else None)
+    assert order.is_antisymmetric == (not two_way)
+    blocks = []
+    for x in order.elements:
+        if all(x not in b for b in blocks):
+            blocks.append(tuple(y for y in order.elements
+                                if (x, y) in order.pairs and (y, x) in order.pairs))
+    assert order.equiv_blocks() == tuple(blocks)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

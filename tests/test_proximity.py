@@ -9,8 +9,7 @@ from ordalg import (CarrierMismatch, FinitePoset, ProximityOracle,
                     QuasiOrder, RationalFn, SbalSkeleton, antichain, chain,
                     check_axioms, combined_order, complete_quasi_order,
                     is_nachbin, monotone_envelope, positive_below,
-                    prox_decide, r2_decide, relative_skeleton,
-                    separation_point)
+                    prox_decide, r2_decide, separation_point)
 from ordalg.fnalg import SubalgebraPartition
 from ordalg.proximity import R2_CARRIER
 from ordalg.rng import rng_for, sample_values
@@ -203,7 +202,7 @@ def test_combined_order_and_relative_skeleton():
     q = combined_order(oracle, merged)
     assert q.leq("c", "a") and q.leq("b", "a")
     assert q.equiv_blocks() == (("a", "b", "c"),)
-    rel = relative_skeleton(oracle, merged)
+    rel = SbalSkeleton(combined_order(oracle, merged))
     assert rel.contains(RationalFn.constant("abc", 3))
     assert not rel.contains(RationalFn("abc", {"a": 0, "b": 1, "c": 2}))
 
