@@ -23,7 +23,7 @@ from .order import (FinitePoset, QuasiOrder, antichain, antisymmetrize,
                     monotone_envelope, posets_up_to, random_poset,
                     require_monotone)
 from .proximity import (ProximityOracle, check_axioms, combined_order,
-                        is_nachbin, positive_below, prox_decide, r2_decide,
+                        is_nachbin, positive_below, prox_decide,
                         separation_point)
 from .rng import DEFAULT_SEED, child_seed, rng_for
 from .sbal import (AxiomReport, AxiomResult, EnvelopePair, SbalSkeleton,

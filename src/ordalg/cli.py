@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .approx import DIEUDONNE_STEP_CAP, dieudonne_sequence, sw_approximate
 from .errors import (CarrierMismatch, EmptyCarrier, NonPositiveEpsilon,
@@ -159,19 +159,19 @@ def _load_skeleton(path: str) -> SbalSkeleton:
 
 
 def _oracle_from(args) -> ProximityOracle:
-    if getattr(args, "oracle", None) is not None:
+    if args.oracle is not None:
         return ProximityOracle.r2()
     return ProximityOracle.from_skeleton(_load_skeleton(args.skeleton))
 
 
 def _skeleton_from(args) -> SbalSkeleton:
-    if getattr(args, "poset", None) is not None:
+    if args.poset is not None:
         return SbalSkeleton(_load_poset(args.poset))
     return _load_skeleton(args.skeleton)
 
 
 def _algebra_from(args, carrier: tuple) -> SubalgebraPartition:
-    if getattr(args, "algebra", None) is None:
+    if args.algebra is None:
         return SubalgebraPartition.discrete(carrier)
     doc = _load_doc(args.algebra)
     if not isinstance(doc.get("carrier"), list) or not isinstance(doc.get("blocks"), list):
@@ -201,8 +201,78 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise _InputError(f"{flag} needs a rational like 3 or 1/8, got {text!r}") from exc
 
 
+# -- flags -------------------------------------------------------------
+
+def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--oracle", choices=("r2",),
+                       help="built-in oracle (the two-point plane analog)")
+    group.add_argument("--skeleton", metavar="FILE", help="skeleton document")
+
+
+def _add_order_source(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--poset", metavar="FILE", help="order document")
+    group.add_argument("--skeleton", metavar="FILE", help="skeleton document")
+
+
+def _required_files(*flags: str) -> Callable[[argparse.ArgumentParser], None]:
+    def add(p: argparse.ArgumentParser) -> None:
+        for flag in flags:
+            p.add_argument(flag, required=True, metavar="FILE")
+    return add
+
+
+def _add_algebra(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algebra", metavar="FILE",
+                   help="algebra document (default: the full algebra)")
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="root seed for all sampling (default %(default)s)")
+
+
+def _add_samples(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int, default=1000,
+                   help=f"sample count for randomized checks, 1 to {SAMPLES_CAP} "
+                        "(default %(default)s)")
+
+
+def _add_expect_quasi(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--expect-quasi", dest="expect_quasi", action="store_true",
+                   help="treat an antisymmetry failure as the expected outcome")
+
+
+_COMMANDS = []
+
+
+def _command(name: str, summary: str, *flags: Callable[[argparse.ArgumentParser], None]):
+    """Register the decorated handler as command ``name``, listed in --help in this order."""
+    def register(handler):
+        _COMMANDS.append((name, summary, flags, handler))
+        return handler
+    return register
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ordalg",
+        description="Exact duality toolkit for finite ordered spaces and "
+                    "their function algebras.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, summary, flags, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for add in flags:
+            add(p)
+        p.set_defaults(handler=handler)
+    return parser
+
+
 # -- commands ----------------------------------------------------------
 
+@_command("validate", "close an order document and check antisymmetry", _required_files("--poset"),
+          _add_expect_quasi)
 def cmd_validate(args) -> int:
     order = _order_from_doc(_load_doc(args.poset), antisymmetric=False)
     payload = {"order": order.to_dict(), "antisymmetric": order.is_antisymmetric}
@@ -211,6 +281,9 @@ def cmd_validate(args) -> int:
                                  "antisymmetry fails")
 
 
+@_command("envelope", "least/greatest cone member above/below a function", _add_order_source,
+          _required_files("--function"),
+          lambda p: p.add_argument("--direction", choices=("upper", "lower"), required=True))
 def cmd_envelope(args) -> int:
     skeleton = _skeleton_from(args)
     f = _load_function(args.function, skeleton.carrier)
@@ -221,6 +294,8 @@ def cmd_envelope(args) -> int:
     return _verdict("envelope", True, f"{args.direction} envelope computed", payload)
 
 
+@_command("prox", "decide the proximity relation on two functions", _add_oracle_flags,
+          _required_files("--left", "--right"))
 def cmd_prox(args) -> int:
     oracle = _oracle_from(args)
     a = _load_function(args.left, oracle.carrier)
@@ -235,6 +310,10 @@ def cmd_prox(args) -> int:
     return _verdict("prox", False, f"not related; envelope exceeds bound at {point}", payload)
 
 
+@_command("axioms", "run the proximity and skeleton axiom suites", _add_oracle_flags,
+          lambda p: p.add_argument("--devries", action="store_true",
+                                   help="also probe the compingent axioms P11 and P12"),
+          _add_seed, _add_samples)
 def cmd_axioms(args) -> int:
     samples = _samples(args)
     oracle = _oracle_from(args)
@@ -263,6 +342,7 @@ def cmd_axioms(args) -> int:
     return _verdict("axioms", not failed, ", ".join(failed), payload, lines)
 
 
+@_command("spectrum", "maximal ideals of a subalgebra", _add_oracle_flags, _add_algebra)
 def cmd_spectrum(args) -> int:
     oracle = _oracle_from(args)
     algebra = _algebra_from(args, oracle.carrier)
@@ -273,6 +353,8 @@ def cmd_spectrum(args) -> int:
     return _verdict("spectrum", True, f"{len(points)} maximal ideals", payload)
 
 
+@_command("induced-order", "order the spectrum through the proximity", _add_oracle_flags,
+          _add_algebra, _add_expect_quasi)
 def cmd_induced_order(args) -> int:
     oracle = _oracle_from(args)
     algebra = _algebra_from(args, oracle.carrier)
@@ -287,11 +369,14 @@ def cmd_induced_order(args) -> int:
                                  "order fails antisymmetry", note="order fails antisymmetry")
 
 
+@_command("roundtrip", "verify the unit and evaluation maps on a space", _required_files("--poset"),
+          _add_seed, _add_samples)
 def cmd_roundtrip(args) -> int:
     samples = _samples(args)
     space = _load_poset(args.poset)
     eta_report = eta(space)
-    phi_report = phi_respects_proximity(space, samples=samples, seed=args.seed)
+    phi_report = phi_respects_proximity(space, samples=samples, seed=args.seed,
+                                        spec=eta_report.spectrum)
     payload = {"eta": eta_report.to_dict(), "phi": phi_report.to_dict()}
     lines = [
         "eta order isomorphism: " + _pass_fail(eta_report.is_order_isomorphism),
@@ -302,6 +387,10 @@ def cmd_roundtrip(args) -> int:
                     payload, lines)
 
 
+@_command("sw-approx", "approximate a cone member from a separating family", _add_order_source,
+          _required_files("--function"),
+          lambda p: p.add_argument("--eps", required=True, metavar="Q",
+                                   help="tolerance, a positive rational"))
 def cmd_sw_approx(args) -> int:
     skeleton = _skeleton_from(args)
     f = _load_function(args.function, skeleton.carrier)
@@ -316,6 +405,11 @@ def cmd_sw_approx(args) -> int:
     return _verdict("sw-approx", False, f"sup-norm error {error} > {epsilon}", payload)
 
 
+@_command("dieudonne", "interpolation sequence between a proximal pair", _add_oracle_flags,
+          _required_files("--left", "--right"),
+          lambda p: p.add_argument("--steps", type=int, default=8, metavar="N",
+                                   help=f"trace length, 1 to {DIEUDONNE_STEP_CAP} "
+                                        "(default %(default)s)"))
 def cmd_dieudonne(args) -> int:
     oracle = _oracle_from(args)
     f = _load_function(args.left, oracle.carrier)
@@ -329,6 +423,10 @@ def cmd_dieudonne(args) -> int:
     return _verdict("dieudonne", True, f"{trace.steps} steps, bounds hold", payload)
 
 
+@_command("adjunction", "match monotone maps with algebra morphisms", _required_files("--poset"),
+          lambda p: p.add_argument("--skeleton", metavar="FILE",
+                                   help="target skeleton (default: the poset's own cone)"),
+          _add_seed)
 def cmd_adjunction(args) -> int:
     space = _load_poset(args.poset)
     if args.skeleton is not None:
@@ -348,134 +446,13 @@ def cmd_adjunction(args) -> int:
                     payload, lines)
 
 
+@_command("pq-roundtrip", "positive-cone functor roundtrip on a value grid", _add_order_source)
 def cmd_pq_roundtrip(args) -> int:
     skeleton = _skeleton_from(args)
     report = roundtrip_pq(skeleton)
     note = (f"{report.checked} grid functions, memberships identical" if report.identical
             else "membership mismatch")
     return _verdict("pq-roundtrip", report.identical, note, report.to_dict())
-
-
-# -- parser ------------------------------------------------------------
-
-def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--oracle", choices=("r2",),
-                       help="built-in oracle (the two-point plane analog)")
-    group.add_argument("--skeleton", metavar="FILE", help="skeleton document")
-
-
-def _add_order_source(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--poset", metavar="FILE", help="order document")
-    group.add_argument("--skeleton", metavar="FILE", help="skeleton document")
-
-
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="root seed for all sampling (default %(default)s)")
-
-
-def _add_samples(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=1000,
-                   help=f"sample count for randomized checks, 1 to {SAMPLES_CAP} "
-                        "(default %(default)s)")
-
-
-def _add_expect_quasi(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expect-quasi", dest="expect_quasi", action="store_true",
-                   help="treat an antisymmetry failure as the expected outcome")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ordalg",
-        description="Exact duality toolkit for finite ordered spaces and "
-                    "their function algebras.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("validate",
-                       help="close an order document and check antisymmetry")
-    p.add_argument("--poset", required=True, metavar="FILE")
-    _add_expect_quasi(p)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("envelope",
-                       help="least/greatest cone member above/below a function")
-    _add_order_source(p)
-    p.add_argument("--function", required=True, metavar="FILE")
-    p.add_argument("--direction", choices=("upper", "lower"), required=True)
-    p.set_defaults(handler=cmd_envelope)
-
-    p = sub.add_parser("prox",
-                       help="decide the proximity relation on two functions")
-    _add_oracle_flags(p)
-    p.add_argument("--left", required=True, metavar="FILE")
-    p.add_argument("--right", required=True, metavar="FILE")
-    p.set_defaults(handler=cmd_prox)
-
-    p = sub.add_parser("axioms",
-                       help="run the proximity and skeleton axiom suites")
-    _add_oracle_flags(p)
-    p.add_argument("--devries", action="store_true",
-                   help="also probe the compingent axioms P11 and P12")
-    _add_seed(p)
-    _add_samples(p)
-    p.set_defaults(handler=cmd_axioms)
-
-    p = sub.add_parser("spectrum",
-                       help="maximal ideals of a subalgebra")
-    _add_oracle_flags(p)
-    p.add_argument("--algebra", metavar="FILE",
-                   help="algebra document (default: the full algebra)")
-    p.set_defaults(handler=cmd_spectrum)
-
-    p = sub.add_parser("induced-order",
-                       help="order the spectrum through the proximity")
-    _add_oracle_flags(p)
-    p.add_argument("--algebra", metavar="FILE",
-                   help="algebra document (default: the full algebra)")
-    _add_expect_quasi(p)
-    p.set_defaults(handler=cmd_induced_order)
-
-    p = sub.add_parser("roundtrip",
-                       help="verify the unit and evaluation maps on a space")
-    p.add_argument("--poset", required=True, metavar="FILE")
-    _add_seed(p)
-    _add_samples(p)
-    p.set_defaults(handler=cmd_roundtrip)
-
-    p = sub.add_parser("sw-approx",
-                       help="approximate a cone member from a separating family")
-    _add_order_source(p)
-    p.add_argument("--function", required=True, metavar="FILE")
-    p.add_argument("--eps", required=True, metavar="Q",
-                   help="tolerance, a positive rational")
-    p.set_defaults(handler=cmd_sw_approx)
-
-    p = sub.add_parser("dieudonne",
-                       help="interpolation sequence between a proximal pair")
-    _add_oracle_flags(p)
-    p.add_argument("--left", required=True, metavar="FILE")
-    p.add_argument("--right", required=True, metavar="FILE")
-    p.add_argument("--steps", type=int, default=8, metavar="N",
-                   help=f"trace length, 1 to {DIEUDONNE_STEP_CAP} (default %(default)s)")
-    p.set_defaults(handler=cmd_dieudonne)
-
-    p = sub.add_parser("adjunction",
-                       help="match monotone maps with algebra morphisms")
-    p.add_argument("--poset", required=True, metavar="FILE")
-    p.add_argument("--skeleton", metavar="FILE",
-                   help="target skeleton (default: the poset's own cone)")
-    _add_seed(p)
-    p.set_defaults(handler=cmd_adjunction)
-
-    p = sub.add_parser("pq-roundtrip",
-                       help="positive-cone functor roundtrip on a value grid")
-    _add_order_source(p)
-    p.set_defaults(handler=cmd_pq_roundtrip)
-
-    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

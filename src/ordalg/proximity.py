@@ -14,13 +14,12 @@ cone member above a is the upper monotone envelope, so
 The reflexive elements (a prox a) are exactly the cone members, so the
 relation and the cone determine each other.
 
-Two built-in oracle kinds cover all uses in this package:
-
-* ``skeleton``: the relation above for an arbitrary quasi-order;
-* ``r2``: the plane analog on a two-point carrier, decided in closed form
-  by max(a) <= min(b).  Its reflexive elements are the constants, i.e. the
-  skeleton of the two-way complete quasi-order, and the closed form agrees
-  with the envelope route; tests keep both paths separate and compare.
+Every oracle decides through the envelope of its skeleton.  The plane
+analog ``r2`` is no exception: it is the skeleton oracle of the two-way
+complete quasi-order on a two-point carrier, whose reflexive elements are
+the constants, and its ``kind`` is only the name reports print.  The
+closed form max(a) <= min(b) lives in the tests, as the independent
+reference the envelope route is compared with.
 
 :func:`check_axioms` runs the seeded axiom suite: order compatibility
 (P1-P4), interpolation (P5, and RP5 which asks for a reflexive
@@ -35,21 +34,11 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import rng as rngmod
-from .fnalg import RationalFn, SubalgebraPartition, as_fraction, check_carrier
+from .fnalg import RationalFn, SubalgebraPartition, check_carrier
 from .order import QuasiOrder, complete_quasi_order, monotone_envelope
 from .sbal import AxiomReport, SbalSkeleton, _AxiomRun, _doc
 
 R2_CARRIER = ("x", "y")
-
-
-def r2_decide(a: Tuple, b: Tuple) -> bool:
-    """Closed-form totally-below on the plane: max(a) <= min(b).
-
-    Equivalent to asking for a scalar r with a1, a2 <= r <= b1, b2.
-    """
-    a1, a2 = (as_fraction(v) for v in a)
-    b1, b2 = (as_fraction(v) for v in b)
-    return max(a1, a2) <= min(b1, b2)
 
 
 class ProximityOracle:
@@ -58,8 +47,6 @@ class ProximityOracle:
     __slots__ = ("kind", "skeleton")
 
     def __init__(self, kind: str, skeleton: SbalSkeleton):
-        if kind not in ("skeleton", "r2"):
-            raise ValueError(f"unknown oracle kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "skeleton", skeleton)
 
@@ -83,18 +70,10 @@ class ProximityOracle:
         return self.skeleton.carrier
 
     def decide(self, a: RationalFn, b: RationalFn) -> bool:
-        check_carrier(a.carrier, self.carrier)
-        check_carrier(b.carrier, self.carrier)
-        if self.kind == "r2":
-            return r2_decide(tuple(a.values[x] for x in R2_CARRIER),
-                             tuple(b.values[x] for x in R2_CARRIER))
         return self.skeleton.envelope(a).le(b)
 
     def witness(self, a: RationalFn) -> RationalFn:
         """The least cone member above a; interpolates whenever a prox b."""
-        check_carrier(a.carrier, self.carrier)
-        if self.kind == "r2":
-            return RationalFn.constant(self.carrier, a.max_value())
         return self.skeleton.envelope(a)
 
     def __repr__(self) -> str:

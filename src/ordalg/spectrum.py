@@ -185,17 +185,20 @@ class PhiReport:
 
 
 def phi_respects_proximity(space: FinitePoset, *, samples: int = 1000,
-                           seed: int = rngmod.DEFAULT_SEED) -> PhiReport:
+                           seed: int = rngmod.DEFAULT_SEED,
+                           spec: Optional[OrderedSpectrum] = None) -> PhiReport:
     """phi preserves and reflects the relation, on sampled pairs.
 
     The source relation is decided by the skeleton oracle on the space; the
     target relation by a fresh oracle over the spectral order computed from
-    canonical witnesses.  Half the sampled pairs are built to be related so
-    both directions of the equivalence get exercised.
+    canonical witnesses, or given as ``spec`` when :func:`eta` built it.
+    Half the sampled pairs are built to be related so both directions of
+    the equivalence get exercised.
     """
     oracle = ProximityOracle.from_order(space)
     algebra = SubalgebraPartition.discrete(space.elements)
-    spec = induced_order(algebra, oracle)
+    if spec is None:
+        spec = induced_order(algebra, oracle)
     spec_oracle = ProximityOracle.from_order(spec.order)
     rng = rngmod.rng_for(seed, "phi-respects")
     carrier = space.elements

@@ -5,6 +5,7 @@ Exit status contract: 0 all checks passed, 1 a mathematical check failed
 byte-identical across runs with the same inputs and seed.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -181,6 +182,21 @@ def test_roundtrip_chain(docs):
     assert res.returncode == 0
     assert "eta order isomorphism: PASS" in res.stdout
     assert "roundtrip: PASS" in res.stdout
+
+
+def test_roundtrip_builds_the_spectrum_once(docs, monkeypatch, capsys):
+    # ``ordalg.spectrum`` is the exported function, so reach the module by name.
+    module = importlib.import_module("ordalg.spectrum")
+    original, calls = module.induced_order, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "induced_order", counted)
+    assert main(["roundtrip", "--poset", docs("chain2.json", CHAIN2), "--samples", "5"]) == 0
+    assert "roundtrip: PASS" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_envelope_from_quasiorder_skeleton(docs):

@@ -9,7 +9,7 @@ from ordalg import (CarrierMismatch, FinitePoset, ProximityOracle,
                     QuasiOrder, RationalFn, SbalSkeleton, antichain, chain,
                     check_axioms, combined_order, complete_quasi_order,
                     is_nachbin, monotone_envelope, positive_below,
-                    prox_decide, r2_decide, separation_point)
+                    prox_decide, separation_point)
 from ordalg.fnalg import SubalgebraPartition
 from ordalg.proximity import R2_CARRIER
 from ordalg.rng import rng_for, sample_values
@@ -21,6 +21,11 @@ def r2fn(u, v):
     return RationalFn(R2_CARRIER, {"x": u, "y": v})
 
 
+def r2_decide(a, b):
+    """Closed-form totally-below on the plane: some scalar r has a <= r <= b."""
+    return max(a) <= min(b)
+
+
 def test_r2_closed_form_matches_skeleton_route():
     """max(a) <= min(b) and the constant-cone envelope route agree."""
     oracle = ProximityOracle.r2()
@@ -28,9 +33,9 @@ def test_r2_closed_form_matches_skeleton_route():
     for au, av, bu, bv in itertools.product(grid, repeat=4):
         a, b = r2fn(au, av), r2fn(bu, bv)
         closed = r2_decide((au, av), (bu, bv))
-        assert closed == (max(au, av) <= min(bu, bv))
         assert oracle.decide(a, b) == closed
         assert oracle.skeleton.envelope(a).le(b) == closed
+        assert oracle.witness(a) == RationalFn.constant(R2_CARRIER, max(au, av))
 
 
 def test_skeleton_oracle_routes_agree():
