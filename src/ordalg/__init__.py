@@ -29,8 +29,7 @@ from .rng import DEFAULT_SEED, child_seed, rng_for
 from .sbal import (AxiomReport, AxiomResult, EnvelopePair, SbalSkeleton,
                    archimedean_premise, check_skeleton_axioms,
                    concrete_envelope, difference_decompose, envelope_umt)
-from .sbal_plus import (PQRoundtripReport, SbalPlusSkeleton, positive_cone,
-                        q_contains, q_decompose, roundtrip_pq)
+from .sbal_plus import PQRoundtripReport, q_contains, q_decompose, roundtrip_pq
 from .spectrum import (AdjunctionReport, EtaReport, MaxIdeal, OrderedSpectrum,
                        PhiReport, canonical_witness, dual_morphism,
                        enumerate_adjunction, eta, induced_order, phi,

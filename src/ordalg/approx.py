@@ -22,9 +22,15 @@ grid, which answers size, membership and the next member above a value,
 and every constructed piece, so the inequalities above can be re-checked
 verbatim.
 
-:func:`dieudonne_claim` interpolates: given f totally below g (possibly
-only through a stream of approximant pairs) and a radius r, it returns a
-cone member a with f - r <= a <= g.  :func:`dieudonne_sequence` iterates
+:func:`dieudonne_claim` interpolates: given f totally below g and a
+radius r, it returns a cone member a with f - r <= a <= g.  The lemma
+allows f totally below g only in the limit of approximant pairs, but the
+relation {(a, b) : env(a) <= b} of a skeleton oracle is closed in the sup
+norm (the envelope is 1-Lipschitz), so such a limit pair is related
+itself.  The claim therefore takes the pair on the nose and refuses an
+unrelated one, naming a point where env(f) > g.  What this reading drops
+is only a fixed-radius claim for an unrelated pair that has a related
+pair within r/2 of it.  :func:`dieudonne_sequence` iterates
 the claim with radii 1/2, 1/4, ... producing a trace a_0 = a_1, a_2, ...
 satisfying, exactly at every step n >= 1,
 
@@ -37,20 +43,17 @@ inside the cone.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import NoApproximantWithinTolerance, NonPositiveEpsilon, TooLargeToEnumerate
 from .fnalg import RationalFn, as_fraction
 from .order import require_monotone
-from .proximity import ProximityOracle
+from .proximity import ProximityOracle, separation_point
 from .sbal import SbalSkeleton
 from .spectrum import canonical_witness
-
-STREAM_SCAN_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -171,34 +174,18 @@ def sw_approximate(f: RationalFn, skeleton: SbalSkeleton, epsilon) -> SWCertific
     return SWCertificate(approximant, epsilon, grid, tuple(family), tuple(cover))
 
 
-def dieudonne_claim(f: RationalFn, g: RationalFn, oracle: ProximityOracle, r,
-                    stream: Optional[Iterable] = None) -> RationalFn:
-    """A cone member a with f - r <= a <= g, from an approximant stream.
+def dieudonne_claim(f: RationalFn, g: RationalFn, oracle: ProximityOracle, r) -> RationalFn:
+    """A cone member a with f - r <= a <= g, for f totally below g.
 
-    The stream presents the relation "f totally below g in the limit": its
-    pairs (f_n, g_n) must each satisfy f_n totally below g_n.  The claim
-    scans for a pair within r/2 of (f, g) in the uniform norm, takes the
-    oracle's interpolant a' between f_n and g_n, and returns a' - r/2.
-    When no stream is given the constant stream [(f, g)] is used, so the
-    relation must then hold on the nose.
+    The oracle's interpolant between f and g, lowered by r/2.
     """
     r = as_fraction(r)
     if r <= 0:
         raise NonPositiveEpsilon("the radius must be positive", {"radius": str(r)})
-    pairs = [(f, g)] if stream is None else stream
-    half = r / 2
-    scanned = 0
-    for fn, gn in itertools.islice(iter(pairs), STREAM_SCAN_LIMIT):
-        scanned += 1
-        if (f - fn).sup_norm() > half or (g - gn).sup_norm() > half:
-            continue
-        if not oracle.decide(fn, gn):
-            continue
-        interpolant = oracle.witness(fn)
-        return interpolant - half
-    raise NoApproximantWithinTolerance(
-        "no stream pair landed within the tolerance",
-        {"radius": str(r), "scanned": scanned})
+    if not oracle.decide(f, g):
+        raise NoApproximantWithinTolerance(
+            "f is not totally below g", {"radius": str(r), **separation_point(oracle, f, g)})
+    return oracle.witness(f) - r / 2
 
 
 @dataclass
@@ -208,7 +195,7 @@ class DieudonneTrace:
     f: RationalFn
     g: RationalFn
     terms: Tuple[RationalFn, ...]
-    limit_witness: Optional[RationalFn]
+    limit_witness: RationalFn
 
     @property
     def steps(self) -> int:
@@ -233,8 +220,7 @@ class DieudonneTrace:
         return {"steps": self.steps,
                 "terms": [t.to_dict()["values"] for t in self.terms],
                 "violations": self.bound_violations(),
-                "limit_witness": (self.limit_witness.to_dict()["values"]
-                                  if self.limit_witness is not None else None)}
+                "limit_witness": self.limit_witness.to_dict()["values"]}
 
 
 # Term n of a trace carries denominators of 2^n, so a report grows about
@@ -243,21 +229,20 @@ DIEUDONNE_STEP_CAP = 256
 
 
 def dieudonne_sequence(f: RationalFn, g: RationalFn, oracle: ProximityOracle,
-                       steps: int, stream: Optional[Sequence] = None) -> DieudonneTrace:
+                       steps: int) -> DieudonneTrace:
     """Iterate the interpolation claim with dyadically shrinking radii.
 
     Step m squeezes the next term between f v (a_m - 1/2^{m+1}) minus the
     new radius and g ^ (a_m + 1/2^m), reusing the claim on the squeezed
-    pair; with a stream, the stream's pairs are squeezed the same way.
-    When f is totally below g on the nose the exact order-interval witness
-    (the envelope of f, met with g) is reported alongside the trace.
+    pair.  The exact order-interval witness (the envelope of f, met with g)
+    is reported alongside the trace.
     """
     if steps < 1:
         raise NonPositiveEpsilon("need at least one step", {"steps": steps})
     if steps > DIEUDONNE_STEP_CAP:
         raise TooLargeToEnumerate(f"a trace is capped at {DIEUDONNE_STEP_CAP} steps",
                                   {"steps": steps, "cap": DIEUDONNE_STEP_CAP})
-    a1 = dieudonne_claim(f, g, oracle, Fraction(1, 2), stream)
+    a1 = dieudonne_claim(f, g, oracle, Fraction(1, 2))
     terms = [a1, a1]
     for m in range(1, steps):
         lower_pad = Fraction(1, 2 ** (m + 1))
@@ -265,13 +250,5 @@ def dieudonne_sequence(f: RationalFn, g: RationalFn, oracle: ProximityOracle,
         a_m = terms[-1]
         u = f.join(a_m - lower_pad)
         v = g.meet(a_m + upper_pad)
-        squeezed = None
-        if stream is not None:
-            squeezed = [(fn.join(a_m - lower_pad), gn.meet(a_m + upper_pad))
-                        for fn, gn in stream]
-        terms.append(dieudonne_claim(u, v, oracle, lower_pad, squeezed))
-
-    witness = None
-    if oracle.decide(f, g):
-        witness = oracle.witness(f).meet(g)
-    return DieudonneTrace(f, g, tuple(terms), witness)
+        terms.append(dieudonne_claim(u, v, oracle, lower_pad))
+    return DieudonneTrace(f, g, tuple(terms), oracle.witness(f).meet(g))

@@ -15,11 +15,7 @@ class OrdalgError(Exception):
 
     def __init__(self, message: str, details: Optional[Mapping[str, Any]] = None):
         super().__init__(message)
-        self.message = message
         self.details = dict(details) if details else {}
-
-    def to_dict(self) -> dict:
-        return {"error": type(self).__name__, "message": self.message, "details": self.details}
 
 
 class UnknownElement(OrdalgError):
@@ -63,7 +59,7 @@ class NonPositiveEpsilon(OrdalgError):
 
 
 class NoApproximantWithinTolerance(OrdalgError):
-    """An approximant stream ran out before reaching the requested tolerance."""
+    """An interpolation claim was asked for a pair f, g with f not totally below g."""
 
 
 class TooLargeToEnumerate(OrdalgError):

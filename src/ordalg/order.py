@@ -367,11 +367,11 @@ def posets_up_to(n: int) -> List[FinitePoset]:
     return out
 
 
-def random_poset(rng: random.Random, n: int, edge_prob: float = 0.5) -> FinitePoset:
-    """A random poset: random edges along a shuffled linear order, closed."""
+def random_poset(rng: random.Random, n: int) -> FinitePoset:
+    """A random poset: edges of chance 1/2 along a shuffled linear order, closed."""
     labels = list(_default_labels(n))
     order = labels[:]
     rng.shuffle(order)
     pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < edge_prob]
+             if rng.random() < 0.5]
     return FinitePoset(tuple(labels), pairs)

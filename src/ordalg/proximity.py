@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 from . import rng as rngmod
 from .fnalg import RationalFn, SubalgebraPartition, check_carrier
 from .order import QuasiOrder, complete_quasi_order, monotone_envelope
-from .sbal import AxiomReport, SbalSkeleton, _AxiomRun, _doc
+from .sbal import AxiomReport, AxiomResult, SbalSkeleton, _doc
 
 R2_CARRIER = ("x", "y")
 
@@ -148,7 +148,7 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
     rng = rngmod.rng_for(seed, "prox-axioms")
     carrier = oracle.carrier
     names = PROX_AXIOMS + (DEVRIES_AXIOMS if include_devries else ())
-    runs = {name: _AxiomRun(name) for name in names}
+    runs = {name: AxiomResult(name) for name in names}
 
     def rand_fn() -> RationalFn:
         return RationalFn(carrier, rngmod.sample_values(rng, carrier))
@@ -263,7 +263,7 @@ def check_axioms(oracle: ProximityOracle, *, samples: int = 1000,
                            lambda: _doc(b=peak))
 
     report = AxiomReport(subject=f"proximity:{oracle.kind}", seed=seed, samples=samples)
-    report.results = [runs[name].result() for name in names]
+    report.results = list(runs.values())
     return report
 
 

@@ -4,7 +4,7 @@ All randomness in the package flows from a single 64-bit seed.  Independent
 sampling tasks derive child seeds with :func:`child_seed`, which hashes the
 root seed together with a tuple of string tags (SHA-256, truncated to 64
 bits).  The scheme is splittable: distinct tag tuples give independent
-streams, and reports produced from the same (inputs, seed) pair are
+generators, and reports produced from the same (inputs, seed) pair are
 byte-identical across runs and platforms.
 
 Sampled function coordinates are rationals k/8 with k drawn uniformly from
@@ -41,25 +41,17 @@ def rng_for(seed: int, *tags: str) -> random.Random:
     return random.Random(child_seed(seed, *tags))
 
 
-def sample_coordinate(rng: random.Random) -> Fraction:
+def sample_scalar(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-_SPAN, _SPAN), _STEP)
 
 
-def sample_nonneg_coordinate(rng: random.Random) -> Fraction:
+def sample_nonneg_scalar(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(0, _SPAN), _STEP)
 
 
 def sample_values(rng: random.Random, carrier: Sequence[str]) -> dict:
-    return {x: sample_coordinate(rng) for x in carrier}
+    return {x: sample_scalar(rng) for x in carrier}
 
 
 def sample_nonneg_values(rng: random.Random, carrier: Sequence[str]) -> dict:
-    return {x: sample_nonneg_coordinate(rng) for x in carrier}
-
-
-def sample_scalar(rng: random.Random) -> Fraction:
-    return sample_coordinate(rng)
-
-
-def sample_nonneg_scalar(rng: random.Random) -> Fraction:
-    return sample_nonneg_coordinate(rng)
+    return {x: sample_nonneg_scalar(rng) for x in carrier}

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import rng as rngmod
-from .errors import CarrierMismatch, NotAMorphism, NotRepresentable
+from .errors import CarrierMismatch, NotAMorphism, NotInSkeleton, NotRepresentable
 from .fnalg import RationalFn, SubalgebraPartition, as_fraction
 from .order import (
     QuasiOrder,
@@ -65,10 +65,18 @@ class SbalSkeleton:
         return is_monotone(f, self.order)
 
     def contains_nonneg(self, f: RationalFn) -> bool:
-        return self.contains(f) and f.ge(0)
+        return is_monotone(f, self.order) and f.ge(0)
 
     def require_member(self, f: RationalFn) -> None:
         require_monotone(f, self.order)
+
+    def require_nonneg_member(self, f: RationalFn) -> None:
+        """Raise unless f is in the positive cone: monotone and nonnegative."""
+        require_monotone(f, self.order)
+        if not f.ge(0):
+            x = next(x for x in f.carrier if f.values[x] < 0)
+            raise NotInSkeleton(f"negative value at {x!r}",
+                                {"element": x, "value": str(f.values[x])})
 
     def envelope(self, f: RationalFn) -> RationalFn:
         """Least member above f; equals f exactly when f is a member."""
@@ -292,13 +300,24 @@ def concrete_envelope(skeleton: SbalSkeleton) -> SubalgebraPartition:
 
 @dataclass
 class AxiomResult:
-    """Outcome of one axiom over a seeded sample run."""
+    """Outcome of one axiom over a seeded sample run; the first failure is kept."""
 
     name: str
-    checked: int
-    premise_hits: int
-    passed: bool
+    checked: int = 0
+    premise_hits: int = 0
     counterexample: Optional[dict] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    def record(self, premise: bool, conclusion: bool, witness: Callable[[], dict]) -> None:
+        self.checked += 1
+        if not premise:
+            return
+        self.premise_hits += 1
+        if not conclusion and self.counterexample is None:
+            self.counterexample = witness()
 
     def to_dict(self) -> dict:
         return {"name": self.name, "checked": self.checked,
@@ -329,28 +348,6 @@ class AxiomReport:
     def to_dict(self) -> dict:
         return {"subject": self.subject, "seed": self.seed, "samples": self.samples,
                 "results": [r.to_dict() for r in self.results]}
-
-
-class _AxiomRun:
-    """Accumulates checks for one axiom; first failure is kept."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.premise_hits = 0
-        self.failure: Optional[dict] = None
-
-    def record(self, premise: bool, conclusion: bool, witness: Callable[[], dict]) -> None:
-        self.checked += 1
-        if not premise:
-            return
-        self.premise_hits += 1
-        if not conclusion and self.failure is None:
-            self.failure = witness()
-
-    def result(self) -> AxiomResult:
-        return AxiomResult(self.name, self.checked, self.premise_hits,
-                           self.failure is None, self.failure)
 
 
 def _doc(**fields) -> dict:
@@ -387,7 +384,7 @@ def check_skeleton_axioms(skeleton: SbalSkeleton, *, samples: int = 1000,
     a + b <= c + d, or a = c and b <= d.
     """
     rng = rngmod.rng_for(seed, "skeleton-axioms")
-    runs = {name: _AxiomRun(name) for name in
+    runs = {name: AxiomResult(name) for name in
             ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9")}
 
     for _ in range(samples):
@@ -440,5 +437,5 @@ def check_skeleton_axioms(skeleton: SbalSkeleton, *, samples: int = 1000,
                           lambda: _doc(a=aa, b=bb, c=cc, d=dd))
 
     report = AxiomReport(subject="skeleton", seed=seed, samples=samples)
-    report.results = [runs[name].result() for name in sorted(runs)]
+    report.results = list(runs.values())
     return report

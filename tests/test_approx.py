@@ -144,17 +144,28 @@ def test_pinned_dieudonne_claim():
     assert (f - Fraction(1, 2)).le(a) and a.le(g)
 
 
-def test_claim_through_stream():
-    """The relation may hold only for nearby stream pairs."""
-    oracle = ProximityOracle.from_order(chain("pq"))
-    f = RationalFn("pq", {"p": 1, "q": 0})
-    g = RationalFn("pq", {"p": 1, "q": Fraction(7, 8)})
-    assert not oracle.decide(f, g)
-    with pytest.raises(NoApproximantWithinTolerance):
-        dieudonne_claim(f, g, oracle, Fraction(1, 2))
-    stream = [(f, g + Fraction(1, 8))]
-    a = dieudonne_claim(f, g, oracle, Fraction(1, 2), stream)
-    assert (f - Fraction(1, 2)).le(a) and a.le(g + Fraction(1, 8))
+def test_claim_names_where_the_pair_is_unrelated():
+    """An unrelated pair is refused at a point where env(f) > g."""
+    for order in (chain("pq"), VEE, chain("pqr")):
+        oracle = ProximityOracle.from_order(order)
+        rng = rng_for(63, "claim-refused", "".join(order.elements))
+        refused = 0
+        for _ in range(40):
+            f = RationalFn(order.elements, sample_values(rng, order.elements))
+            g = RationalFn(order.elements, sample_values(rng, order.elements))
+            if oracle.decide(f, g):
+                continue
+            refused += 1
+            with pytest.raises(NoApproximantWithinTolerance) as err:
+                dieudonne_claim(f, g, oracle, Fraction(1, 4))
+            assert str(err.value) == "f is not totally below g"
+            details = err.value.details
+            assert details["radius"] == "1/4"
+            x = details["point"]
+            env = monotone_envelope(f, order)
+            assert Fraction(details["envelope"]) == env.values[x] > g.values[x]
+            assert Fraction(details["bound"]) == g.values[x]
+        assert refused > 0
 
 
 def test_claim_rejects_nonpositive_radius():

@@ -374,7 +374,7 @@ def test_verdict_lines_in_process(docs, capsys):
         (["dieudonne", "--oracle", "r2", "--left", zero, "--right", one, "--steps", "2"], 0,
          "dieudonne: PASS (2 steps, bounds hold)"),
         (["dieudonne", "--oracle", "r2", "--left", one, "--right", zero, "--steps", "2"], 1,
-         "FAIL: no stream pair landed within the tolerance"),
+         "FAIL: f is not totally below g"),
         (["adjunction", "--poset", chain2], 0, "adjunction: PASS"),
         (["pq-roundtrip", "--poset", chain2], 0,
          "pq-roundtrip: PASS (289 grid functions, memberships identical)"),

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ordalg import (FinitePoset, NotInSkeleton, RationalFn, SbalSkeleton,
-                    TooLargeToEnumerate, chain, positive_cone, q_contains,
+from ordalg import (FinitePoset, NotInSkeleton, NotMonotone, RationalFn,
+                    SbalSkeleton, TooLargeToEnumerate, chain, q_contains,
                     q_decompose, roundtrip_pq)
 from ordalg.rng import rng_for, sample_values
 
@@ -14,34 +14,33 @@ VEE = FinitePoset("abc", [("a", "c"), ("b", "c")])
 
 
 def test_positive_cone_membership():
-    plus = positive_cone(SbalSkeleton(chain("pq")))
+    skel = SbalSkeleton(chain("pq"))
     up = RationalFn("pq", {"p": 0, "q": 1})
-    assert plus.contains(up)
-    assert not plus.contains(up - 1)
-    assert not plus.contains(RationalFn("pq", {"p": 1, "q": 0}))
-
-
-def test_difference_axiom():
-    plus = positive_cone(SbalSkeleton(chain("pq")))
-    a = RationalFn("pq", {"p": Fraction(3, 2), "q": Fraction(5, 2)})
-    d = plus.difference(a, 1)
-    assert d == a - 1 and plus.contains(d)
-    with pytest.raises(NotInSkeleton):
-        plus.difference(a, 3)
+    assert skel.contains_nonneg(up)
+    skel.require_nonneg_member(up)
+    assert not skel.contains_nonneg(up - 1)
+    with pytest.raises(NotInSkeleton) as err:
+        skel.require_nonneg_member(up - 1)
+    assert not isinstance(err.value, NotMonotone)
+    assert str(err.value) == "negative value at 'p'"
+    assert err.value.details == {"element": "p", "value": "-1"}
+    down = RationalFn("pq", {"p": 1, "q": 0})
+    assert not skel.contains_nonneg(down)
+    with pytest.raises(NotMonotone):
+        skel.require_nonneg_member(down)
 
 
 def test_q_decompose_recovers_members():
     """m = (m + shift) - shift with a nonnegative monotone part."""
     skel = SbalSkeleton(VEE)
-    plus = positive_cone(skel)
     rng = rng_for(71, "qdec")
     for _ in range(50):
         m = skel.sample_member(rng)
-        part, shift = q_decompose(plus, m)
-        assert plus.contains(part)
+        part, shift = q_decompose(skel, m)
+        assert skel.contains_nonneg(part)
         assert shift >= 0
         assert part - shift == m
-        assert q_contains(plus, m)
+        assert q_contains(skel, m)
         # The canonical shift is minimal: nonnegative members need none.
         if m.ge(0):
             assert shift == 0 and part == m
@@ -91,8 +90,8 @@ def test_roundtrip_cap():
 def test_wrong_decomposition_is_a_recompose_failure(monkeypatch):
     real = q_decompose
 
-    def off_by_one(plus, m):
-        a, r = real(plus, m)
+    def off_by_one(skeleton, m):
+        a, r = real(skeleton, m)
         return a, r + 1
 
     monkeypatch.setattr("ordalg.sbal_plus.q_decompose", off_by_one)
@@ -104,7 +103,7 @@ def test_wrong_decomposition_is_a_recompose_failure(monkeypatch):
 def test_roundtrip_routes_are_independent(monkeypatch):
     """A wrong decomposition route shows up: the grid compares two routes."""
     monkeypatch.setattr("ordalg.sbal_plus.q_contains",
-                        lambda plus, m: plus.contains(m))   # the shift is dropped
+                        lambda sk, m: sk.contains_nonneg(m))   # the shift is dropped
     report = roundtrip_pq(SbalSkeleton(chain("pq")))
     assert report.identical is False
     assert report.qp_mismatches
