@@ -17,11 +17,10 @@ from .errors import (AntisymmetryViolation, CarrierMismatch, EmptyCarrier,
                      TooLargeToEnumerate, UnknownElement)
 from .fnalg import (RationalFn, SubalgebraPartition, as_fraction,
                     check_carrier, generate_closed_subalgebra)
-from .order import (FinitePoset, QuasiOrder, antichain, antisymmetrize,
-                    chain, complete_quasi_order, enumerate_monotone_maps,
-                    enumerate_posets, is_monotone, linear_extension,
-                    monotone_envelope, posets_up_to, random_poset,
-                    require_monotone)
+from .order import (FinitePoset, QuasiOrder, antichain, chain,
+                    complete_quasi_order, enumerate_monotone_maps,
+                    enumerate_posets, is_monotone, monotone_envelope,
+                    posets_up_to, random_poset, require_monotone)
 from .proximity import (ProximityOracle, check_axioms, combined_order,
                         is_nachbin, positive_below, prox_decide,
                         separation_point)

@@ -182,10 +182,11 @@ def dieudonne_claim(f: RationalFn, g: RationalFn, oracle: ProximityOracle, r) ->
     r = as_fraction(r)
     if r <= 0:
         raise NonPositiveEpsilon("the radius must be positive", {"radius": str(r)})
-    if not oracle.decide(f, g):
+    w = oracle.witness(f)
+    if not w.le(g):
         raise NoApproximantWithinTolerance(
             "f is not totally below g", {"radius": str(r), **separation_point(oracle, f, g)})
-    return oracle.witness(f) - r / 2
+    return w - r / 2
 
 
 @dataclass

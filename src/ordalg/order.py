@@ -18,8 +18,6 @@ The order-theoretic core of the package lives here:
 * :func:`is_monotone` membership of a function in the monotone cone,
 * :func:`monotone_envelope` the least monotone function above (or the
   greatest below) a given one,
-* :func:`antisymmetrize` collapse of two-way pairs to a quotient poset,
-* :func:`linear_extension` a deterministic topological ranking,
 * :func:`enumerate_posets` all posets of a given size up to isomorphism.
 """
 
@@ -241,47 +239,6 @@ def monotone_envelope(f: RationalFn, order: QuasiOrder, direction: str = "upper"
     else:
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
     return RationalFn._make(order.elements, values)
-
-
-def block_label(block: Sequence[str]) -> str:
-    return "|".join(block)
-
-
-def antisymmetrize(order: QuasiOrder):
-    """Collapse two-way pairs to a quotient poset.
-
-    Returns ``(poset, projection)`` where the poset's elements are block
-    labels (members joined by ``|`` in carrier order) and ``projection``
-    maps each original element to its block label.  The quotient relation
-    [x] <= [y] iff x <= y is well defined because the blocks are exactly
-    the two-way classes.
-    """
-    blocks = order.equiv_blocks()
-    labels = {block: block_label(block) for block in blocks}
-    projection = {x: labels[block] for block in blocks for x in block}
-    pairs = {(projection[x], projection[y]) for x, y in order.pairs}
-    poset = FinitePoset(tuple(labels[b] for b in blocks), pairs)
-    return poset, projection
-
-
-def linear_extension(poset: QuasiOrder) -> Dict[str, int]:
-    """A deterministic rank function compatible with the order.
-
-    Kahn's scheme, always taking the first minimal element in carrier
-    order, so equal inputs give equal rankings.  Requires antisymmetry.
-    """
-    pair = poset.two_way_pair()
-    if pair is not None:
-        raise AntisymmetryViolation("cannot rank a relation with a two-way pair",
-                                    {"pair": list(pair)})
-    remaining = list(poset.elements)
-    rank: Dict[str, int] = {}
-    while remaining:
-        head = next(x for x in remaining
-                    if all(y not in remaining for y in poset.downset(x) if y != x))
-        rank[head] = len(rank)
-        remaining.remove(head)
-    return rank
 
 
 def enumerate_monotone_maps(domain: QuasiOrder, codomain: QuasiOrder) -> List[dict]:

@@ -87,9 +87,10 @@ def prox_decide(oracle: ProximityOracle, a: RationalFn,
     The witness satisfies a <= s <= b, s reflexive, and is canonical (the
     envelope), so repeated runs return identical certificates.
     """
-    if not oracle.decide(a, b):
+    w = oracle.witness(a)
+    if not w.le(b):
         return False, None
-    return True, oracle.witness(a)
+    return True, w
 
 
 def separation_point(oracle: ProximityOracle, a: RationalFn, b: RationalFn) -> dict:

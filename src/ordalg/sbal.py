@@ -36,14 +36,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import rng as rngmod
 from .errors import CarrierMismatch, NotAMorphism, NotInSkeleton, NotRepresentable
 from .fnalg import RationalFn, SubalgebraPartition, as_fraction
-from .order import (
-    QuasiOrder,
-    antisymmetrize,
-    is_monotone,
-    linear_extension,
-    monotone_envelope,
-    require_monotone,
-)
+from .order import QuasiOrder, is_monotone, monotone_envelope, require_monotone
 
 
 class SbalSkeleton:
@@ -263,10 +256,16 @@ def difference_decompose(skeleton: SbalSkeleton, h: RationalFn) -> Tuple[Rationa
     at least respect the two-way classes of the quasi-order, because every
     cone member does; if it distinguishes equivalent points no
     representation exists and NotRepresentable is raised.  The general
-    construction ranks the quotient poset by a linear extension and adds a
+    construction ranks each point by the size of its downset and adds a
     multiple of the rank large enough to dominate h's variation:
 
         g = M * rank,  f = h + g,  M = (max h - min h) + 1.
+
+    Two-way equivalent points have the same downset, so the rank is
+    constant on each class, where h is too.  Along a strict pair x < y the
+    downset of x lies inside that of y and misses y, so rank(y) >= rank(x) + 1
+    and f rises by at least M - (max h - min h) = 1.  Hence g and f are both
+    monotone.
     """
     order = skeleton.order
     h = h.on(order.elements)
@@ -277,9 +276,7 @@ def difference_decompose(skeleton: SbalSkeleton, h: RationalFn) -> Tuple[Rationa
             raise NotRepresentable(
                 "h distinguishes points that every cone member identifies",
                 {"block": list(block), "values": {x: str(h.values[x]) for x in block}})
-    quotient, projection = antisymmetrize(order)
-    rank = linear_extension(quotient)
-    rho = RationalFn(order.elements, {x: Fraction(rank[projection[x]]) for x in order.elements})
+    rho = RationalFn(order.elements, {x: Fraction(len(order.downset(x))) for x in order.elements})
     m = (h.max_value() - h.min_value()) + 1
     g = rho.scale(m)
     f = RationalFn(order.elements, {x: h.values[x] + g.values[x] for x in order.elements})

@@ -219,24 +219,6 @@ def phi_respects_proximity(space: FinitePoset, *, samples: int = 1000,
     return report
 
 
-@dataclass
-class SpectralMap:
-    """A morphism into a function algebra, in spectral form.
-
-    ``point_map`` sends each point of the codomain's space to a spectrum
-    label of the source algebra; the morphism itself acts by
-    ``f |-> phi(f) o point_map``.  ``dual_map`` is the induced map between
-    the two spectra, i.e. the same assignment read on vanishing ideals.
-    """
-
-    point_map: Dict[str, str]
-    dual_map: Dict[str, str]
-
-    def to_dict(self) -> dict:
-        return {"point_map": dict(sorted(self.point_map.items())),
-                "dual_map": dict(sorted(self.dual_map.items()))}
-
-
 def apply_point_map(source_spec: OrderedSpectrum, point_map: Mapping[str, str],
                     f: RationalFn, space: FinitePoset) -> RationalFn:
     """The morphism determined by a point map, applied to one function."""
@@ -248,8 +230,8 @@ class _AdjunctionContext:
     """Spectral data shared by the legality checks of one call over (space, skeleton).
 
     The spectrum (with its combined order and canonical witnesses), the
-    relative skeleton, space cone, the unit's point labels M(x), and the
-    probe values on the spectrum per (seed, samples).
+    relative skeleton, the space cone, and the probe values on the spectrum
+    per (seed, samples).
     """
 
     def __init__(self, space: FinitePoset, skeleton: SbalSkeleton):
@@ -257,30 +239,33 @@ class _AdjunctionContext:
                                   ProximityOracle.from_skeleton(skeleton))
         self.relative = SbalSkeleton(self.spec.base)
         self.space_cone = SbalSkeleton(space)
-        full = SubalgebraPartition.discrete(space.elements)
-        self.unit_labels = {x: point_ideal(full, x).label for x in space.elements}
         self._probes: Dict[Tuple[int, int], list] = {}
 
-    def probe_values(self, seed: int, samples: int) -> list:
-        """Witnesses then seeded relative-cone samples, as values on the spectrum."""
+    def preserves_cone(self, point_map: Mapping[str, str], seed: int, samples: int) -> bool:
+        """The cone route: each probe, pulled back along the point map, is reflexive.
+
+        The probes are the canonical witnesses, then seeded relative-cone
+        samples, as values on the spectrum.
+        """
         key = (seed, samples)
         if key not in self._probes:
             rng = rngmod.rng_for(seed, "dual-morphism")
             probes = self.spec.witnesses + [self.relative.sample_member(rng) for _ in range(samples)]
             self._probes[key] = [phi(self.spec.algebra, s, self.spec).values for s in probes]
-        return self._probes[key]
-
-    def transport(self, dual: SpectralMap) -> dict:
-        """The composite of a morphism's dual with the unit, as a point map."""
-        return {x: dual.dual_map[label] for x, label in self.unit_labels.items()}
+        cone = self.space_cone
+        elements = cone.carrier
+        return all(cone.contains(RationalFn._make(elements, {x: v[point_map[x]] for x in elements}))
+                   for v in self._probes[key])
 
 
 def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
                   skeleton: SbalSkeleton, *, seed: int = rngmod.DEFAULT_SEED,
-                  samples: int = 64, _ctx: Optional[_AdjunctionContext] = None) -> SpectralMap:
+                  samples: int = 64, _ctx: Optional[_AdjunctionContext] = None) -> Dict[str, str]:
     """Check a spectral point map presents a proximity-preserving morphism.
 
-    Legality is decided two independent ways and both must agree:
+    The morphism acts by ``f |-> phi(f) o point_map``, so the point map is
+    the morphism in spectral form.  Legality is decided two independent
+    ways and both must agree:
 
     * structurally, the point map must be monotone from the space into the
       spectral order (the canonical witnesses pull back monotone exactly
@@ -289,8 +274,7 @@ def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
       the canonical witnesses themselves always included in the sample.
 
     Raises NotAMorphism when illegal, naming the first failing pair of the
-    space in ``sorted_pairs`` order; otherwise returns the map together
-    with the induced map between spectra.
+    space in ``sorted_pairs`` order; otherwise returns the point map.
     """
     ctx = _ctx if _ctx is not None else _AdjunctionContext(space, skeleton)
     spec_leq = ctx.spec.order.pairs
@@ -301,10 +285,7 @@ def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
                                  {"element": x, "image": point_map.get(x)})
 
     structural = all((point_map[x], point_map[y]) in spec_leq for x, y in space.cover_pairs)
-    elements = space.elements
-    sampled = all(
-        ctx.space_cone.contains(RationalFn._make(elements, {x: v[point_map[x]] for x in elements}))
-        for v in ctx.probe_values(seed, samples))
+    sampled = ctx.preserves_cone(point_map, seed, samples)
 
     if structural != sampled:
         raise NotAMorphism("structural and sampled legality disagree",
@@ -314,8 +295,7 @@ def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
                     if (point_map[x], point_map[y]) not in spec_leq)
         raise NotAMorphism("point map is not monotone into the spectral order",
                            {"pair": [x, y], "images": [point_map[x], point_map[y]]})
-
-    return SpectralMap(dict(point_map), {ctx.unit_labels[x]: point_map[x] for x in elements})
+    return dict(point_map)
 
 
 @dataclass
@@ -378,42 +358,31 @@ def enumerate_adjunction(space: FinitePoset, skeleton: SbalSkeleton, *,
                          seed: int = rngmod.DEFAULT_SEED) -> AdjunctionReport:
     """Enumerate both hom-sets and verify the canonical correspondence.
 
-    Monotone maps from the space into the spectrum are enumerated
-    directly.  Candidate morphisms are all point maps; the legal ones are
-    kept (legality itself is double-checked inside dual_morphism).  The
-    correspondence sends a morphism to the composite of its dual with the
-    unit map, and must match the monotone maps one to one.  Naturality is
-    checked on sampled composites with monotone reindexings of the space
-    and of the spectrum.
+    Monotone maps from the space into the spectrum are the order route.
+    Candidate morphisms are all point maps; the cone route keeps those
+    whose pullback preserves reflexive elements, and the two hom-sets must
+    be equal.  Naturality is checked on sampled composites with monotone
+    reindexings of the space and of the spectrum.  Both sides are refused
+    above ADJUNCTION_CAP points before any spectrum is built.
     """
-    ctx = _AdjunctionContext(space, skeleton)
-    spec = ctx.spec
-    if len(space.elements) > ADJUNCTION_CAP or len(spec.points) > ADJUNCTION_CAP:
+    spectrum_size = len(skeleton.order.equiv_blocks())
+    if len(space.elements) > ADJUNCTION_CAP or spectrum_size > ADJUNCTION_CAP:
         raise TooLargeToEnumerate(
             f"adjunction enumeration is capped at {ADJUNCTION_CAP} points per side",
-            {"space": len(space.elements), "spectrum": len(spec.points),
+            {"space": len(space.elements), "spectrum": spectrum_size,
              "cap": ADJUNCTION_CAP})
-
+    ctx = _AdjunctionContext(space, skeleton)
+    spec = ctx.spec
     spec_poset = spec.as_poset()
     monotone_maps = enumerate_monotone_maps(space, spec_poset)
-
-    morphisms: List[dict] = []
-    theta: List[Tuple[dict, dict]] = []
-    for images in itertools.product(spec_poset.elements, repeat=len(space.elements)):
-        h = dict(zip(space.elements, images))
-        try:
-            dual = dual_morphism(h, space, skeleton, seed=seed, samples=8, _ctx=ctx)
-        except NotAMorphism:
-            continue
-        morphisms.append(h)
-        theta.append((h, ctx.transport(dual)))
-
-    image_keys = [_map_key(t) for _, t in theta]
-    bijective = (len(set(image_keys)) == len(image_keys)
-                 and set(image_keys) == {_map_key(h) for h in monotone_maps})
-
+    candidates = (dict(zip(space.elements, images))
+                  for images in itertools.product(spec_poset.elements, repeat=len(space.elements)))
+    morphisms = [h for h in candidates if ctx.preserves_cone(h, seed, 8)]
+    # theta(alpha_h) = alpha_h* o eta sends x to alpha_h^-1(M_x) = M_h(x), which
+    # is h(x): with morphisms presented by their point maps, theta is the identity.
+    theta = [(h, h) for h in morphisms]
+    bijective = {_map_key(h) for h in morphisms} == {_map_key(h) for h in monotone_maps}
     naturality_ok = _check_naturality(space, skeleton, ctx, theta, seed)
-
     return AdjunctionReport(space, spec, monotone_maps, morphisms, theta,
                             bijective, naturality_ok)
 
@@ -425,14 +394,13 @@ def _check_naturality(space: FinitePoset, skeleton: SbalSkeleton,
 
     Space side: reindexing the space by a monotone endo psi turns a
     morphism alpha into one acting by f |-> alpha(f) o psi.  That
-    composite's point map is recovered from its action alone, transported
-    through the unit, and must equal the transported map of alpha composed
-    with psi.
+    composite's point map is recovered from its action alone, checked
+    legal by dual_morphism, and must equal theta(alpha) composed with psi.
 
     Algebra side: a monotone endo k of the spectrum presents an algebra
     endomorphism beta with action f |-> (values of f) o k read back on the
-    carrier; the transported map of alpha o beta must equal k after the
-    transported map of alpha.
+    carrier; the legal point map of alpha o beta must equal k after
+    theta(alpha).
     """
     rng = rngmod.rng_for(seed, "adjunction-naturality")
     spec = ctx.spec
@@ -441,9 +409,8 @@ def _check_naturality(space: FinitePoset, skeleton: SbalSkeleton,
     endos_spec = enumerate_monotone_maps(spec_poset, spec_poset)
     label_of = {z: point_ideal(spec.algebra, z).label for z in spec.algebra.carrier}
 
-    def transported_of(point_map: dict) -> dict:
-        return ctx.transport(
-            dual_morphism(point_map, space, skeleton, seed=seed, samples=4, _ctx=ctx))
+    def legal(point_map: dict) -> dict:
+        return dual_morphism(point_map, space, skeleton, seed=seed, samples=4, _ctx=ctx)
 
     if not theta:
         return True
@@ -460,7 +427,7 @@ def _check_naturality(space: FinitePoset, skeleton: SbalSkeleton,
             g = alpha(f)
             return RationalFn(space.elements, {x: g.values[psi[x]] for x in space.elements})
 
-        lhs = transported_of(recover_point_map(reindexed, spec, space))
+        lhs = legal(recover_point_map(reindexed, spec, space))
         rhs = {x: t_h[psi[x]] for x in space.elements}
         if lhs != rhs:
             return False
@@ -471,7 +438,7 @@ def _check_naturality(space: FinitePoset, skeleton: SbalSkeleton,
             return RationalFn(spec.algebra.carrier,
                               {z: vals.values[k[label_of[z]]] for z in spec.algebra.carrier})
 
-        lhs2 = transported_of(recover_point_map(lambda f: alpha(beta(f)), spec, space))
+        lhs2 = legal(recover_point_map(lambda f: alpha(beta(f)), spec, space))
         rhs2 = {x: k[t_h[x]] for x in space.elements}
         if lhs2 != rhs2:
             return False

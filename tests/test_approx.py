@@ -168,6 +168,22 @@ def test_claim_names_where_the_pair_is_unrelated():
         assert refused > 0
 
 
+def test_sequence_builds_one_envelope_per_claim(monkeypatch):
+    """20 claims and the limit witness: one envelope each, 21 in all."""
+    oracle = ProximityOracle.from_order(chain("pq"))
+    original, calls = SbalSkeleton.envelope, []
+
+    def counted(self, f):
+        calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(SbalSkeleton, "envelope", counted)
+    trace = dieudonne_sequence(RationalFn("pq", {"p": 1, "q": 0}), RationalFn.constant("pq", 1),
+                               oracle, 20)
+    assert trace.steps == 20 and len(calls) == 21
+    assert trace.bound_violations() == []
+
+
 def test_claim_rejects_nonpositive_radius():
     oracle = ProximityOracle.from_order(chain("pq"))
     f = RationalFn.zero("pq")

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from ordalg import (AntisymmetryViolation, EmptyCarrier, FinitePoset,
                     NotInSkeleton, NotMonotone, QuasiOrder, RationalFn,
                     SbalSkeleton, TooLargeToEnumerate, UnknownElement,
-                    antichain, antisymmetrize, chain,
-                    complete_quasi_order, enumerate_monotone_maps,
-                    enumerate_posets, is_monotone, linear_extension,
+                    antichain, chain, complete_quasi_order,
+                    enumerate_monotone_maps, enumerate_posets, is_monotone,
                     monotone_envelope, posets_up_to, q_decompose,
                     random_poset, require_monotone, sw_approximate)
 from ordalg.rng import rng_for, sample_values
@@ -189,25 +188,6 @@ def test_envelope_idempotent_and_monotone_fixed():
     assert monotone_envelope(env, c) == env
     g = RationalFn("abc", {"a": 0, "b": 1, "c": 2})
     assert monotone_envelope(g, c) == g
-
-
-def test_antisymmetrize_quotient():
-    q = QuasiOrder("abc", [("a", "b"), ("b", "a"), ("b", "c")])
-    poset, projection = antisymmetrize(q)
-    assert poset.elements == ("a|b", "c")
-    assert projection == {"a": "a|b", "b": "a|b", "c": "c"}
-    assert poset.leq("a|b", "c")
-    assert poset.is_antisymmetric
-
-
-def test_linear_extension_properties():
-    v = FinitePoset("abc", [("a", "c"), ("b", "c")])
-    rank = linear_extension(v)
-    assert sorted(rank.values()) == [0, 1, 2]
-    for x, y in v.sorted_pairs():
-        assert rank[x] <= rank[y]
-    with pytest.raises(AntisymmetryViolation):
-        linear_extension(complete_quasi_order("ab"))
 
 
 def test_enumerate_monotone_maps_against_brute_force():

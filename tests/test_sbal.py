@@ -1,5 +1,6 @@
 """Monotone cones, the difference envelope, and the S-axiom suite."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,10 @@ from ordalg import (CarrierMismatch, EnvelopePair, NotAMorphism,
                     NotInSkeleton, NotRepresentable, QuasiOrder, RationalFn,
                     SbalSkeleton, chain, check_skeleton_axioms,
                     complete_quasi_order, concrete_envelope,
-                    difference_decompose, envelope_umt, monotone_envelope)
+                    difference_decompose, envelope_umt, monotone_envelope,
+                    posets_up_to)
 from ordalg.order import FinitePoset
-from ordalg.rng import rng_for, sample_nonneg_scalar, sample_values
+from ordalg.rng import rng_for, sample_nonneg_scalar
 
 VEE = FinitePoset("abc", [("a", "c"), ("b", "c")])
 
@@ -201,6 +203,34 @@ def test_difference_decompose_respects_equivalence():
     ok = RationalFn("abc", {"a": 1, "b": 1, "c": 0})
     f, g = difference_decompose(s, ok)
     assert f - g == ok and s.contains(f) and s.contains(g)
+
+
+def test_difference_decompose_exhaustively_on_small_orders():
+    """Every poset up to 3 points and three 3-point quasi-orders, values k/2 in [-1, 1].
+
+    Each h that is constant on the two-way classes decomposes into cone
+    members f - g; every other h is refused.  The count of h that are
+    decomposable but not themselves members pins the general construction,
+    on two-way classes too.
+    """
+    orders = posets_up_to(3) + [QuasiOrder("abc", [("a", "b"), ("b", "a")]),
+                                QuasiOrder("abc", [("a", "b"), ("b", "a"), ("b", "c")]),
+                                QuasiOrder("abc", [("a", "b"), ("b", "a"), ("c", "a")])]
+    grid = [Fraction(k, 2) for k in range(-2, 3)]
+    decomposed = general = 0
+    for order in orders:
+        s = sk(order)
+        for values in itertools.product(grid, repeat=len(order.elements)):
+            h = RationalFn(order.elements, dict(zip(order.elements, values)))
+            if any(len({h.values[x] for x in block}) > 1 for block in order.equiv_blocks()):
+                with pytest.raises(NotRepresentable):
+                    difference_decompose(s, h)
+                continue
+            f, g = difference_decompose(s, h)
+            assert s.contains(f) and s.contains(g) and f - g == h
+            decomposed += 1
+            general += not s.contains(h)
+    assert (decomposed, general) == (755, 310)
 
 
 def test_concrete_envelope_blocks():

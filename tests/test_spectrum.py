@@ -1,5 +1,6 @@
 """Ordered spectra, the unit and evaluation maps, and the adjunction."""
 
+import importlib
 import itertools
 import os
 import subprocess
@@ -10,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 import ordalg
-from ordalg import (AntisymmetryViolation, FinitePoset, MaxIdeal,
-                    NotAMorphism, ProximityOracle, RationalFn, SbalSkeleton,
+from ordalg import (AntisymmetryViolation, FinitePoset, NotAMorphism,
+                    ProximityOracle, RationalFn, SbalSkeleton,
                     SubalgebraPartition, TooLargeToEnumerate, UnknownElement,
                     canonical_witness, chain, combined_order, dual_morphism,
                     enumerate_adjunction, enumerate_posets, eta,
@@ -198,9 +199,8 @@ def test_phi_respects_proximity_small():
 
 def test_dual_morphism_accepts_monotone_maps():
     skeleton = SbalSkeleton(chain("pq"))
-    result = dual_morphism({"a": "M(p)", "b": "M(p)", "c": "M(q)"}, VEE, skeleton)
-    assert result.point_map["c"] == "M(q)"
-    assert result.dual_map == {"M(a)": "M(p)", "M(b)": "M(p)", "M(c)": "M(q)"}
+    point_map = {"a": "M(p)", "b": "M(p)", "c": "M(q)"}
+    assert dual_morphism(point_map, VEE, skeleton) == point_map
 
 
 def test_dual_morphism_rejects_non_monotone_maps():
@@ -255,14 +255,13 @@ def test_dual_morphism_shared_context_matches_a_fresh_one():
                 outcomes = []
                 for shared in (ctx, None):
                     try:
-                        dual = dual_morphism(h, space, skeleton, seed=3, samples=(4, 8)[k % 2],
-                                             _ctx=shared)
-                        outcomes.append(dual.to_dict())
+                        outcomes.append(("map", dual_morphism(h, space, skeleton, seed=3,
+                                                              samples=(4, 8)[k % 2], _ctx=shared)))
                     except NotAMorphism as exc:
-                        outcomes.append(exc.details)
+                        outcomes.append(("raised", exc.details))
                 assert outcomes[0] == outcomes[1]
                 monotone = all(spec_order.leq(h[x], h[y]) for x, y in space.pairs)
-                assert ("point_map" in outcomes[0]) == monotone
+                assert (outcomes[0] == ("map", h)) if monotone else (outcomes[0][0] == "raised")
 
 
 def test_apply_point_map_acts_by_composition():
@@ -309,6 +308,23 @@ def test_adjunction_cap():
     big = chain("abcde")
     with pytest.raises(TooLargeToEnumerate):
         enumerate_adjunction(big, SbalSkeleton(chain("pq")))
+
+
+def test_adjunction_cap_refuses_before_building_the_spectrum(monkeypatch):
+    # ``ordalg.spectrum`` is the exported function, so reach the module by name.
+    module = importlib.import_module("ordalg.spectrum")
+    original, calls = module.induced_order, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "induced_order", counted)
+    labels = [f"p{i}" for i in range(200)]
+    with pytest.raises(TooLargeToEnumerate) as err:
+        enumerate_adjunction(chain("ab"), SbalSkeleton(chain(labels)))
+    assert err.value.details == {"space": 2, "spectrum": 200, "cap": 4}
+    assert calls == []
 
 
 def test_spectrum_serialization():
