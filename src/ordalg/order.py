@@ -38,7 +38,7 @@ from .fnalg import RationalFn, check_carrier
 
 Pair = Tuple[str, str]
 
-ENUMERATION_CAP = 5
+ENUMERATION_CAP = 6
 
 
 class QuasiOrder:
@@ -256,32 +256,8 @@ def _default_labels(n: int) -> tuple:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
-def _canonical_key(n: int, leq: frozenset) -> tuple:
-    """Minimum relation matrix over all relabelings; isomorphism invariant."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        key = tuple(1 if (perm[i], perm[j]) in leq else 0
-                    for i in range(n) for j in range(n))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def enumerate_posets(n: int, labels: Sequence[str] = None) -> List[FinitePoset]:
-    """All posets on n elements, one representative per isomorphism class.
-
-    Candidates are generated as strict-downset systems in which the label
-    order is a linear extension; every poset is isomorphic to one of these.
-    Deduplication minimizes the relation matrix over all relabelings.
-    Sizes above ENUMERATION_CAP are refused.
-    """
-    if n < 1:
-        raise EmptyCarrier("poset enumeration starts at one element")
-    if n > ENUMERATION_CAP:
-        raise TooLargeToEnumerate(f"enumeration is capped at {ENUMERATION_CAP} elements",
-                                  {"requested": n, "cap": ENUMERATION_CAP})
-    labels = _default_labels(n) if labels is None else tuple(labels)
-
+def _downset_systems(n: int) -> List[Tuple[int, ...]]:
+    """Strict-downset bitmasks, one per element, in which label order is a linear extension."""
     systems: List[Tuple[int, ...]] = []
 
     def extend(down: List[int]) -> None:
@@ -300,18 +276,62 @@ def enumerate_posets(n: int, labels: Sequence[str] = None) -> List[FinitePoset]:
                 extend(down + [mask])
 
     extend([])
+    return systems
 
-    seen = {}
-    for down in systems:
-        leq = frozenset((i, j) for j in range(n) for i in range(n)
-                        if i == j or down[j] >> i & 1)
-        key = _canonical_key(n, leq)
-        if key not in seen:
-            seen[key] = key
+
+def _canonical_key(down: Tuple[int, ...]) -> int:
+    """Minimum relation matrix over the relabelings that sort elements by invariant.
+
+    Each element's invariant is (upset size, downset size).  Positions are
+    filled one invariant group at a time, in sorted invariant order, and
+    only the permutations within each group are tried.  An isomorphism
+    preserves the invariants, so isomorphic posets have the same candidate
+    matrices and the same minimum.  The matrix is read row by row as the
+    bits of an integer, first entry highest, so integer order is the
+    lexicographic order of the matrices.
+    """
+    n = len(down)
+    below = list(down)
+    up = [0] * n
+    for j in range(n):
+        below[j] |= 1 << j
+        for i in range(n):
+            up[i] += below[j] >> i & 1
+    groups: Dict[tuple, List[int]] = {}
+    for x in range(n):
+        groups.setdefault((up[x], bin(below[x]).count("1")), []).append(x)
+    best = None
+    for choice in itertools.product(*map(itertools.permutations, map(groups.get, sorted(groups)))):
+        perm = sum(choice, ())
+        key = 0
+        for i in perm:
+            for j in perm:
+                key = key << 1 | below[j] >> i & 1
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def enumerate_posets(n: int, labels: Sequence[str] = None) -> List[FinitePoset]:
+    """All posets on n elements, one representative per isomorphism class.
+
+    Candidates are generated as strict-downset systems in which the label
+    order is a linear extension; every poset is isomorphic to one of these.
+    Each candidate is keyed by its relation matrix, minimized over the
+    relabelings that list the elements by (upset size, downset size) and
+    permute only within equal invariants; the representatives come in
+    sorted key order.  Sizes above ENUMERATION_CAP are refused.
+    """
+    if n < 1:
+        raise EmptyCarrier("poset enumeration starts at one element")
+    if n > ENUMERATION_CAP:
+        raise TooLargeToEnumerate(f"enumeration is capped at {ENUMERATION_CAP} elements",
+                                  {"requested": n, "cap": ENUMERATION_CAP})
+    labels = _default_labels(n) if labels is None else tuple(labels)
     posets = []
-    for key in sorted(seen):
+    for key in sorted(set(map(_canonical_key, _downset_systems(n)))):
         pairs = [(labels[i], labels[j]) for i in range(n) for j in range(n)
-                 if key[i * n + j]]
+                 if key >> (n * n - 1 - i * n - j) & 1]
         posets.append(FinitePoset(labels, pairs))
     return posets
 

@@ -14,7 +14,8 @@ import sys
 import pytest
 
 from ordalg.approx import DIEUDONNE_STEP_CAP
-from ordalg.cli import SAMPLES_CAP, _samples, build_parser, main
+from ordalg import QuasiOrder, RationalFn, SubalgebraPartition
+from ordalg.cli import CARRIER_CAP, SAMPLES_CAP, _samples, build_parser, main
 
 CHAIN2 = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 LOOP = {"elements": ["p", "q"], "leq": [["p", "q"], ["q", "p"]]}
@@ -260,6 +261,44 @@ def test_samples_above_cap_is_input_error(docs):
         assert payload(res.stdout)["details"] == {"samples": SAMPLES_CAP + 1,
                                                   "cap": SAMPLES_CAP}
         assert "PASS" not in res.stdout
+
+
+def test_documents_above_the_carrier_cap_are_refused_unbuilt(docs, monkeypatch, capsys):
+    n = CARRIER_CAP + 1
+    labels = [f"e{i}" for i in range(n)]
+    big_order = {"elements": labels, "leq": [[x, y] for x, y in zip(labels, labels[1:])]}
+    big_fn = {"carrier": labels, "values": {x: "0" for x in labels}}
+    built = []
+    for cls in (QuasiOrder, RationalFn, SubalgebraPartition):
+        def record(self, carrier, *args, real=cls.__init__, **kwargs):
+            built.append(len(carrier))
+            real(self, carrier, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", record)
+    small = docs("f.json", F01)
+    cases = [
+        ["validate", "--poset", docs("order.json", big_order)],
+        ["envelope", "--skeleton", docs("skel.json", {"quasiorder": big_order}),
+         "--function", small, "--direction", "upper"],
+        ["envelope", "--skeleton", docs("gens.json", {"generators": [F01, big_fn]}),
+         "--function", small, "--direction", "upper"],
+        ["sw-approx", "--poset", docs("chain2.json", CHAIN2),
+         "--function", docs("big.json", big_fn), "--eps", "1/4"],
+        ["spectrum", "--oracle", "r2",
+         "--algebra", docs("alg.json", {"carrier": labels, "blocks": [labels]})],
+    ]
+    for argv in cases:
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: documents are capped at {CARRIER_CAP} labels")
+        assert payload(out)["details"] == {"labels": n, "cap": CARRIER_CAP}
+    assert built and max(built) <= 2
+
+
+def test_documents_at_the_carrier_cap_are_accepted(docs, capsys):
+    labels = [f"e{i}" for i in range(CARRIER_CAP)]
+    doc = {"elements": labels, "leq": [[x, y] for x, y in zip(labels, labels[1:])]}
+    assert main(["validate", "--poset", docs("order.json", doc)]) == 0
+    assert f"validate: PASS ({CARRIER_CAP} elements" in capsys.readouterr().out
 
 
 def test_samples_at_cap_is_accepted():

@@ -15,12 +15,14 @@ from ordalg import (AntisymmetryViolation, EmptyCarrier, FinitePoset,
                     enumerate_monotone_maps, enumerate_posets, is_monotone,
                     monotone_envelope, posets_up_to, q_decompose,
                     random_poset, require_monotone, sw_approximate)
+from ordalg.order import _downset_systems
 from ordalg.rng import rng_for, sample_values
 
 # Iso-class and labeled counts of finite posets; frozen from an
 # independent brute force over all reflexive-transitive-antisymmetric
-# relations (re-derived below for n <= 4).
-ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+# relations (re-derived below for n <= 4, and for n = 5 by the n! scan
+# over the enumeration's candidates).  The iso-class counts are OEIS A000112.
+ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219}
 
 
@@ -40,6 +42,21 @@ def brute_force_posets(labels):
         found.append(frozenset(rel))
     assert n == 0 or len({len(r) for r in found}) >= 1
     return found
+
+
+def reference_key(down):
+    """The n! scan: the minimum relation matrix over every relabeling."""
+    n = len(down)
+    leq = {(i, j) for j in range(n) for i in range(n) if i == j or down[j] >> i & 1}
+    return min(tuple(1 if (perm[i], perm[j]) in leq else 0 for i in range(n) for j in range(n))
+               for perm in itertools.permutations(range(n)))
+
+
+def downsets(poset):
+    """Strict-downset bitmasks of a poset in its element order."""
+    elements = poset.elements
+    return tuple(sum(1 << i for i, x in enumerate(elements) if x != y and poset.leq(x, y))
+                 for y in elements)
 
 
 def canon(pairs, labels):
@@ -259,10 +276,27 @@ def test_enumerate_posets_against_brute_force(n):
     assert keys == classes
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_posets_matches_the_factorial_scan(n):
+    """Invariant-class canonical forms pick the classes the n! scan picks."""
+    labels = tuple("abcde"[:n])
+    keys = sorted({reference_key(down) for down in _downset_systems(n)})
+    enumerated = enumerate_posets(n, labels)
+    forms = [reference_key(downsets(p)) for p in enumerated]
+    assert len(forms) == len(set(forms)) == len(keys) == ISO_COUNTS[n]
+    assert set(forms) == set(keys)
+    if n <= 4:
+        # Below five points the two keys agree, so the list is unchanged.
+        reference = [FinitePoset(labels, [(labels[i], labels[j]) for i in range(n)
+                                          for j in range(n) if key[i * n + j]]).to_dict()
+                     for key in keys]
+        assert [p.to_dict() for p in enumerated] == reference
+
+
 def test_enumerate_posets_cap():
-    assert len(enumerate_posets(5)) == ISO_COUNTS[5]
+    assert [len(enumerate_posets(n)) for n in (5, 6)] == [ISO_COUNTS[5], ISO_COUNTS[6]]
     with pytest.raises(TooLargeToEnumerate):
-        enumerate_posets(6)
+        enumerate_posets(7)
 
 
 def test_posets_up_to():

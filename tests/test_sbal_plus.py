@@ -8,6 +8,7 @@ import pytest
 from ordalg import (FinitePoset, NotInSkeleton, NotMonotone, RationalFn,
                     SbalSkeleton, TooLargeToEnumerate, chain, q_contains,
                     q_decompose, roundtrip_pq)
+from ordalg import order, sbal, sbal_plus
 from ordalg.rng import rng_for, sample_values
 
 VEE = FinitePoset("abc", [("a", "c"), ("b", "c")])
@@ -88,13 +89,13 @@ def test_roundtrip_cap():
 
 
 def test_wrong_decomposition_is_a_recompose_failure(monkeypatch):
-    real = q_decompose
+    real = sbal_plus._shift
 
-    def off_by_one(skeleton, m):
-        a, r = real(skeleton, m)
+    def off_by_one(m):
+        a, r = real(m)
         return a, r + 1
 
-    monkeypatch.setattr("ordalg.sbal_plus.q_decompose", off_by_one)
+    monkeypatch.setattr(sbal_plus, "_shift", off_by_one)
     report = roundtrip_pq(SbalSkeleton(chain("pq")))
     assert report.recompose_failures and not report.identical
     assert not report.qp_mismatches and not report.pq_mismatches
@@ -102,11 +103,26 @@ def test_wrong_decomposition_is_a_recompose_failure(monkeypatch):
 
 def test_roundtrip_routes_are_independent(monkeypatch):
     """A wrong decomposition route shows up: the grid compares two routes."""
-    monkeypatch.setattr("ordalg.sbal_plus.q_contains",
-                        lambda sk, m: sk.contains_nonneg(m))   # the shift is dropped
+    monkeypatch.setattr(sbal_plus, "_shift", lambda m: (m, Fraction(0)))   # the shift is dropped
     report = roundtrip_pq(SbalSkeleton(chain("pq")))
     assert report.identical is False
     assert report.qp_mismatches
     bad = report.qp_mismatches[0]
     assert bad["direct"] is True and bad["qp"] is False
     assert min(Fraction(v) for v in bad["fn"].values()) < 0
+
+
+def test_roundtrip_decides_monotonicity_twice_per_grid_function(monkeypatch):
+    """Direct membership and the shifted positive-cone membership, nothing more."""
+    calls = []
+    real = order.is_monotone
+
+    def counted(f, o):
+        calls.append(f)
+        return real(f, o)
+
+    for module in (order, sbal):
+        monkeypatch.setattr(module, "is_monotone", counted)
+    report = roundtrip_pq(SbalSkeleton(chain("pq")))
+    assert report.identical and report.checked == 17 ** 2
+    assert len(calls) == 2 * 17 ** 2 == 578
