@@ -32,8 +32,7 @@ from .sbal_plus import PQRoundtripReport, q_contains, q_decompose, roundtrip_pq
 from .spectrum import (AdjunctionReport, EtaReport, MaxIdeal, OrderedSpectrum,
                        PhiReport, canonical_witness, dual_morphism,
                        enumerate_adjunction, eta, induced_order, phi,
-                       phi_respects_proximity, point_ideal, recover_point_map,
-                       spectrum)
+                       phi_respects_proximity, point_ideal, spectrum)
 
 __version__ = "0.1.0"
 

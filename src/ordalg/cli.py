@@ -50,6 +50,11 @@ INPUT_ERRORS = (UnknownElement, EmptyCarrier, CarrierMismatch,
 # rather than left to run for hours.
 SAMPLES_CAP = 100_000
 
+# An axiom run costs about samples x labels^1.8: 15 samples on a 256-label
+# chain skeleton (3,840) take about 10 s, so a larger product is refused
+# before any suite runs.
+AXIOMS_WORK_CAP = 4_000
+
 # Closing a chain of 256 labels takes about 0.07 s, and closure time grows
 # about as n^2.3 (0.19 s at 512), so larger documents are refused before
 # any order or function is built.
@@ -338,6 +343,11 @@ def cmd_prox(args) -> int:
 def cmd_axioms(args) -> int:
     samples = _samples(args)
     oracle = _oracle_from(args)
+    work = samples * len(oracle.carrier)
+    if work > AXIOMS_WORK_CAP:
+        raise TooLargeToEnumerate(f"axioms is capped at {AXIOMS_WORK_CAP} samples x labels",
+                                  {"samples": samples, "labels": len(oracle.carrier),
+                                   "product": work, "cap": AXIOMS_WORK_CAP})
     prox_report = check_axioms(oracle, samples=samples, seed=args.seed,
                                include_devries=args.devries)
     skel_report = check_skeleton_axioms(oracle.skeleton, samples=samples,

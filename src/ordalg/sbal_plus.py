@@ -95,6 +95,12 @@ def roundtrip_pq(skeleton: SbalSkeleton) -> PQRoundtripReport:
     decided once per route: direct monotonicity, nonnegativity, one shift
     and positive-cone membership of the shifted function.  Carriers above
     three points are refused (the grid grows exponentially).
+
+    The PQ comparison is the QP one restricted to nonnegative functions:
+    membership in P(S) is "direct and nonneg" and the PQ route answers
+    "through_qp and nonneg", so the two differ iff m is nonnegative and
+    direct != through_qp.  Every PQ mismatch is therefore a QP mismatch on
+    the same function, and ``pq_mismatches`` is read off the QP comparison.
     """
     carrier = skeleton.carrier
     if len(carrier) > GRID_CAP:
@@ -111,14 +117,10 @@ def roundtrip_pq(skeleton: SbalSkeleton) -> PQRoundtripReport:
         a, r = _shift(m)
         through_qp = skeleton.contains_nonneg(a)
         if direct != through_qp:
-            report.qp_mismatches.append({"fn": m.to_dict()["values"],
-                                         "direct": direct, "qp": through_qp})
-        # skeleton.contains_nonneg(m) is exactly "direct and nonneg".
-        direct_plus = direct and nonneg
-        through_pq = through_qp and nonneg
-        if direct_plus != through_pq:
-            report.pq_mismatches.append({"fn": m.to_dict()["values"],
-                                         "direct": direct_plus, "pq": through_pq})
+            fn = m.to_dict()["values"]
+            report.qp_mismatches.append({"fn": fn, "direct": direct, "qp": through_qp})
+            if nonneg:
+                report.pq_mismatches.append({"fn": fn, "direct": direct, "pq": through_qp})
         # When direct holds, q_decompose's two checks are direct and through_qp.
         if direct and a - r != m:
             report.recompose_failures.append({"fn": m.to_dict()["values"]})

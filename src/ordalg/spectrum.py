@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import rng as rngmod
 from .errors import NotAMorphism, TooLargeToEnumerate, UnknownElement
@@ -54,9 +54,6 @@ class MaxIdeal:
     @property
     def label(self) -> str:
         return "M(" + "|".join(self.block) + ")"
-
-    def contains(self, f: RationalFn) -> bool:
-        return all(f.values[z] == 0 for z in self.block)
 
 
 def spectrum(algebra: SubalgebraPartition) -> Tuple[MaxIdeal, ...]:
@@ -219,48 +216,36 @@ def phi_respects_proximity(space: FinitePoset, *, samples: int = 1000,
     return report
 
 
-def apply_point_map(source_spec: OrderedSpectrum, point_map: Mapping[str, str],
-                    f: RationalFn, space: FinitePoset) -> RationalFn:
-    """The morphism determined by a point map, applied to one function."""
-    values = phi(source_spec.algebra, f, source_spec)
-    return RationalFn(space.elements, {x: values.values[point_map[x]] for x in space.elements})
-
-
 class _AdjunctionContext:
-    """Spectral data shared by the legality checks of one call over (space, skeleton).
+    """Spectral data shared by the legality checks of one (space, skeleton) pair.
 
     The spectrum (with its combined order and canonical witnesses), the
-    relative skeleton, the space cone, and the probe values on the spectrum
-    per (seed, samples).
+    space cone, and one probe list for one seed and sample count: the
+    canonical witnesses, then seeded relative-cone samples, as values on
+    the spectrum.
     """
 
-    def __init__(self, space: FinitePoset, skeleton: SbalSkeleton):
+    def __init__(self, space: FinitePoset, skeleton: SbalSkeleton, seed: int, samples: int):
         self.spec = induced_order(concrete_envelope(skeleton),
                                   ProximityOracle.from_skeleton(skeleton))
-        self.relative = SbalSkeleton(self.spec.base)
         self.space_cone = SbalSkeleton(space)
-        self._probes: Dict[Tuple[int, int], list] = {}
+        rng = rngmod.rng_for(seed, "dual-morphism")
+        relative = SbalSkeleton(self.spec.base)
+        drawn = [relative.sample_member(rng) for _ in range(samples)]
+        self.probes = [phi(self.spec.algebra, s, self.spec).values
+                       for s in self.spec.witnesses + drawn]
 
-    def preserves_cone(self, point_map: Mapping[str, str], seed: int, samples: int) -> bool:
-        """The cone route: each probe, pulled back along the point map, is reflexive.
-
-        The probes are the canonical witnesses, then seeded relative-cone
-        samples, as values on the spectrum.
-        """
-        key = (seed, samples)
-        if key not in self._probes:
-            rng = rngmod.rng_for(seed, "dual-morphism")
-            probes = self.spec.witnesses + [self.relative.sample_member(rng) for _ in range(samples)]
-            self._probes[key] = [phi(self.spec.algebra, s, self.spec).values for s in probes]
+    def preserves_cone(self, point_map: Mapping[str, str]) -> bool:
+        """The cone route: each probe, pulled back along the point map, is reflexive."""
         cone = self.space_cone
         elements = cone.carrier
         return all(cone.contains(RationalFn._make(elements, {x: v[point_map[x]] for x in elements}))
-                   for v in self._probes[key])
+                   for v in self.probes)
 
 
 def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
                   skeleton: SbalSkeleton, *, seed: int = rngmod.DEFAULT_SEED,
-                  samples: int = 64, _ctx: Optional[_AdjunctionContext] = None) -> Dict[str, str]:
+                  samples: int = 64) -> Dict[str, str]:
     """Check a spectral point map presents a proximity-preserving morphism.
 
     The morphism acts by ``f |-> phi(f) o point_map``, so the point map is
@@ -276,7 +261,7 @@ def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
     Raises NotAMorphism when illegal, naming the first failing pair of the
     space in ``sorted_pairs`` order; otherwise returns the point map.
     """
-    ctx = _ctx if _ctx is not None else _AdjunctionContext(space, skeleton)
+    ctx = _AdjunctionContext(space, skeleton, seed, samples)
     spec_leq = ctx.spec.order.pairs
     spec_labels = set(ctx.spec.order.elements)
     for x in space.elements:
@@ -285,7 +270,7 @@ def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
                                  {"element": x, "image": point_map.get(x)})
 
     structural = all((point_map[x], point_map[y]) in spec_leq for x, y in space.cover_pairs)
-    sampled = ctx.preserves_cone(point_map, seed, samples)
+    sampled = ctx.preserves_cone(point_map)
 
     if structural != sampled:
         raise NotAMorphism("structural and sampled legality disagree",
@@ -325,45 +310,17 @@ def _map_key(h: Mapping[str, str]) -> tuple:
     return tuple(sorted(h.items()))
 
 
-def _separating_family(algebra: SubalgebraPartition) -> List[RationalFn]:
-    """Block indicators; they separate the spectrum points of the algebra."""
-    return [RationalFn(algebra.carrier,
-                       {z: Fraction(1) if z in block else Fraction(0)
-                        for z in algebra.carrier})
-            for block in algebra.blocks]
-
-
-def recover_point_map(action: Callable[[RationalFn], RationalFn],
-                      spec: OrderedSpectrum, space: FinitePoset) -> Dict[str, str]:
-    """Read the spectral point map off a morphism given only by its action.
-
-    For each point of the space there must be exactly one spectrum point
-    agreeing with the action on every block indicator; unital
-    lattice-algebra morphisms into a function algebra always have one.
-    """
-    family = _separating_family(spec.algebra)
-    evaluated = [(phi(spec.algebra, f, spec), action(f)) for f in family]
-    out: Dict[str, str] = {}
-    for x in space.elements:
-        matches = [p.label for p in spec.points
-                   if all(img.values[x] == vals.values[p.label] for vals, img in evaluated)]
-        if len(matches) != 1:
-            raise NotAMorphism("action does not evaluate at a unique spectrum point",
-                               {"point": x, "matches": matches})
-        out[x] = matches[0]
-    return out
-
-
 def enumerate_adjunction(space: FinitePoset, skeleton: SbalSkeleton, *,
                          seed: int = rngmod.DEFAULT_SEED) -> AdjunctionReport:
     """Enumerate both hom-sets and verify the canonical correspondence.
 
     Monotone maps from the space into the spectrum are the order route.
     Candidate morphisms are all point maps; the cone route keeps those
-    whose pullback preserves reflexive elements, and the two hom-sets must
-    be equal.  Naturality is checked on sampled composites with monotone
-    reindexings of the space and of the spectrum.  Both sides are refused
-    above ADJUNCTION_CAP points before any spectrum is built.
+    whose pullback preserves reflexive elements (the canonical witnesses
+    and eight seeded samples), and the two hom-sets must be equal.
+    Naturality is decided exhaustively by :func:`_closed_under_endomaps`
+    on the cone-route hom-set.  Both sides are refused above
+    ADJUNCTION_CAP points before any spectrum is built.
     """
     spectrum_size = len(skeleton.order.equiv_blocks())
     if len(space.elements) > ADJUNCTION_CAP or spectrum_size > ADJUNCTION_CAP:
@@ -371,75 +328,48 @@ def enumerate_adjunction(space: FinitePoset, skeleton: SbalSkeleton, *,
             f"adjunction enumeration is capped at {ADJUNCTION_CAP} points per side",
             {"space": len(space.elements), "spectrum": spectrum_size,
              "cap": ADJUNCTION_CAP})
-    ctx = _AdjunctionContext(space, skeleton)
+    ctx = _AdjunctionContext(space, skeleton, seed, 8)
     spec = ctx.spec
     spec_poset = spec.as_poset()
     monotone_maps = enumerate_monotone_maps(space, spec_poset)
     candidates = (dict(zip(space.elements, images))
                   for images in itertools.product(spec_poset.elements, repeat=len(space.elements)))
-    morphisms = [h for h in candidates if ctx.preserves_cone(h, seed, 8)]
+    morphisms = [h for h in candidates if ctx.preserves_cone(h)]
     # theta(alpha_h) = alpha_h* o eta sends x to alpha_h^-1(M_x) = M_h(x), which
     # is h(x): with morphisms presented by their point maps, theta is the identity.
     theta = [(h, h) for h in morphisms]
     bijective = {_map_key(h) for h in morphisms} == {_map_key(h) for h in monotone_maps}
-    naturality_ok = _check_naturality(space, skeleton, ctx, theta, seed)
+    naturality_ok = _closed_under_endomaps(space, spec_poset, morphisms)
     return AdjunctionReport(space, spec, monotone_maps, morphisms, theta,
                             bijective, naturality_ok)
 
 
-def _check_naturality(space: FinitePoset, skeleton: SbalSkeleton,
-                      ctx: _AdjunctionContext, theta: List[Tuple[dict, dict]],
-                      seed: int) -> bool:
-    """Both composition squares, on sampled composites.
+def _closed_under_endomaps(space: FinitePoset, spec_poset: FinitePoset,
+                           hom: List[dict]) -> bool:
+    """Naturality of theta, decided as closure of the hom-set.
 
-    Space side: reindexing the space by a monotone endo psi turns a
-    morphism alpha into one acting by f |-> alpha(f) o psi.  That
-    composite's point map is recovered from its action alone, checked
-    legal by dual_morphism, and must equal theta(alpha) composed with psi.
-
-    Algebra side: a monotone endo k of the spectrum presents an algebra
-    endomorphism beta with action f |-> (values of f) o k read back on the
-    carrier; the legal point map of alpha o beta must equal k after
-    theta(alpha).
+    A morphism alpha is presented by its point map h, acting by
+    f |-> phi(f) o h, and theta(alpha) = h.  Reindexing by a monotone
+    endomap psi of the space turns alpha into f |-> alpha(f) o psi, whose
+    point map is h o psi; composing with the algebra endomorphism that a
+    monotone endomap k of the spectrum presents gives point map k o h.  So
+    the space-side square for (h, psi) holds iff h o psi is a legal point
+    map, and the algebra-side square for (h, k) iff k o h is one: both
+    squares hold for every legal h, psi and k iff ``hom`` contains every
+    h o psi and k o h.  Each composite is one set lookup of its image tuple
+    in ``space.elements`` order, so every triple is checked.
     """
-    rng = rngmod.rng_for(seed, "adjunction-naturality")
-    spec = ctx.spec
-    spec_poset = spec.as_poset()
+    elements = space.elements
+    legal = set()
+    for h in hom:
+        legal.add(tuple(map(h.__getitem__, elements)))
     endos_space = enumerate_monotone_maps(space, space)
     endos_spec = enumerate_monotone_maps(spec_poset, spec_poset)
-    label_of = {z: point_ideal(spec.algebra, z).label for z in spec.algebra.carrier}
-
-    def legal(point_map: dict) -> dict:
-        return dual_morphism(point_map, space, skeleton, seed=seed, samples=4, _ctx=ctx)
-
-    if not theta:
-        return True
-    for _ in range(16):
-        h, t_h = theta[rng.randrange(len(theta))]
-        psi = endos_space[rng.randrange(len(endos_space))]
-        k = endos_spec[rng.randrange(len(endos_spec))]
-
-        def alpha(f: RationalFn) -> RationalFn:
-            return apply_point_map(spec, h, f, space)
-
-        # Space-side square.
-        def reindexed(f: RationalFn) -> RationalFn:
-            g = alpha(f)
-            return RationalFn(space.elements, {x: g.values[psi[x]] for x in space.elements})
-
-        lhs = legal(recover_point_map(reindexed, spec, space))
-        rhs = {x: t_h[psi[x]] for x in space.elements}
-        if lhs != rhs:
-            return False
-
-        # Algebra-side square.
-        def beta(f: RationalFn) -> RationalFn:
-            vals = phi(spec.algebra, f, spec)
-            return RationalFn(spec.algebra.carrier,
-                              {z: vals.values[k[label_of[z]]] for z in spec.algebra.carrier})
-
-        lhs2 = legal(recover_point_map(lambda f: alpha(beta(f)), spec, space))
-        rhs2 = {x: k[t_h[x]] for x in space.elements}
-        if lhs2 != rhs2:
-            return False
+    for h in hom:
+        for psi in endos_space:
+            if tuple(map(h.__getitem__, map(psi.__getitem__, elements))) not in legal:
+                return False
+        for k in endos_spec:
+            if tuple(map(k.__getitem__, map(h.__getitem__, elements))) not in legal:
+                return False
     return True

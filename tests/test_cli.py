@@ -15,7 +15,8 @@ import pytest
 
 from ordalg.approx import DIEUDONNE_STEP_CAP
 from ordalg import QuasiOrder, RationalFn, SubalgebraPartition
-from ordalg.cli import CARRIER_CAP, SAMPLES_CAP, _samples, build_parser, main
+from ordalg.cli import (AXIOMS_WORK_CAP, CARRIER_CAP, SAMPLES_CAP, _samples, build_parser,
+                        main)
 
 CHAIN2 = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 LOOP = {"elements": ["p", "q"], "leq": [["p", "q"], ["q", "p"]]}
@@ -305,6 +306,29 @@ def test_samples_at_cap_is_accepted():
     for argv in (["axioms", "--oracle", "r2"], ["roundtrip", "--poset", "p.json"]):
         args = build_parser().parse_args(argv + ["--samples", str(SAMPLES_CAP)])
         assert _samples(args) == SAMPLES_CAP
+
+
+def test_axioms_above_the_work_cap_is_refused_before_any_suite(docs, monkeypatch, capsys):
+    """samples x labels is capped: above it exit 2 unrun, at it the suites start."""
+    cli = importlib.import_module("ordalg.cli")
+    started = []
+
+    def suite(oracle, *, samples, **kwargs):
+        started.append(samples)
+        raise RuntimeError("suite started")
+
+    monkeypatch.setattr(cli, "check_axioms", suite)
+    skel3 = docs("sk3.json", {"quasiorder": {"elements": ["p", "q", "r"], "leq": [["p", "q"]]}})
+    samples = AXIOMS_WORK_CAP // 3 + 1
+    assert main(["axioms", "--skeleton", skel3, "--samples", str(samples)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: axioms is capped at {AXIOMS_WORK_CAP} samples x labels")
+    assert payload(out)["details"] == {"samples": samples, "labels": 3,
+                                       "product": 3 * samples, "cap": AXIOMS_WORK_CAP}
+    assert started == []
+    with pytest.raises(RuntimeError, match="suite started"):
+        main(["axioms", "--oracle", "r2", "--samples", str(AXIOMS_WORK_CAP // 2)])
+    assert started == [AXIOMS_WORK_CAP // 2]
 
 
 def test_flags_belong_to_the_commands_that_read_them(docs):

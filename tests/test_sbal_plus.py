@@ -112,6 +112,17 @@ def test_roundtrip_routes_are_independent(monkeypatch):
     assert min(Fraction(v) for v in bad["fn"].values()) < 0
 
 
+def test_pq_mismatches_are_the_nonnegative_qp_mismatches(monkeypatch):
+    """A faulty positive cone shows in PQ exactly where QP fails on m >= 0."""
+    monkeypatch.setattr(SbalSkeleton, "contains_nonneg", lambda self, f: True)
+    report = roundtrip_pq(SbalSkeleton(chain("pq")))
+    expected = [{"fn": e["fn"], "direct": e["direct"], "pq": e["qp"]}
+                for e in report.qp_mismatches
+                if min(Fraction(v) for v in e["fn"].values()) >= 0]
+    assert report.pq_mismatches == expected
+    assert 0 < len(report.pq_mismatches) < len(report.qp_mismatches)
+
+
 def test_roundtrip_decides_monotonicity_twice_per_grid_function(monkeypatch):
     """Direct membership and the shifted positive-cone membership, nothing more."""
     calls = []

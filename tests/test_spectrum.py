@@ -14,12 +14,13 @@ import ordalg
 from ordalg import (AntisymmetryViolation, FinitePoset, NotAMorphism,
                     ProximityOracle, RationalFn, SbalSkeleton,
                     SubalgebraPartition, TooLargeToEnumerate, UnknownElement,
-                    canonical_witness, chain, combined_order, dual_morphism,
-                    enumerate_adjunction, enumerate_posets, eta,
+                    canonical_witness, chain, combined_order,
+                    concrete_envelope, dual_morphism, enumerate_adjunction,
+                    enumerate_monotone_maps, enumerate_posets, eta,
                     induced_order, is_monotone, phi, phi_respects_proximity,
-                    point_ideal, posets_up_to, recover_point_map, spectrum)
+                    point_ideal, posets_up_to, spectrum)
 from ordalg.rng import rng_for, sample_values
-from ordalg.spectrum import _AdjunctionContext, apply_point_map
+from ordalg.spectrum import _closed_under_endomaps
 
 VEE = FinitePoset("abc", [("a", "c"), ("b", "c")])
 
@@ -57,6 +58,35 @@ def thd(oracle, algebra, ideal: LIdeal) -> LIdeal:
     return LIdeal(ideal.carrier, order.downset_of(ideal.zero_set))
 
 
+def apply_point_map(spec, point_map, f, space):
+    """The morphism f |-> phi(f) o point_map, applied to one function."""
+    values = phi(spec.algebra, f, spec)
+    return RationalFn(space.elements, {x: values.values[point_map[x]] for x in space.elements})
+
+
+def recover_point_map(action, spec, space):
+    """Read the spectral point map off a morphism given only by its action.
+
+    The block indicators separate the spectrum points, so each point of the
+    space must agree with the action on all of them at exactly one spectrum
+    point.  This is the reference route the naturality squares are read
+    through, independent of the point maps that present the hom-set.
+    """
+    carrier = spec.algebra.carrier
+    family = [RationalFn(carrier, {z: int(z in block) for z in carrier})
+              for block in spec.algebra.blocks]
+    evaluated = [(phi(spec.algebra, f, spec), action(f)) for f in family]
+    out = {}
+    for x in space.elements:
+        matches = [p.label for p in spec.points
+                   if all(img.values[x] == vals.values[p.label] for vals, img in evaluated)]
+        if len(matches) != 1:
+            raise NotAMorphism("action does not evaluate at a unique spectrum point",
+                               {"point": x, "matches": matches})
+        out[x] = matches[0]
+    return out
+
+
 def discrete_spec(space):
     algebra = SubalgebraPartition.discrete(space.elements)
     oracle = ProximityOracle.from_order(space)
@@ -68,7 +98,8 @@ def test_spectrum_points_are_blocks():
     points = spectrum(algebra)
     assert [p.label for p in points] == ["M(a|b)", "M(c)"]
     f = RationalFn("abc", {"a": 0, "b": 0, "c": 5})
-    assert points[0].contains(f) and not points[1].contains(f)
+    assert [f.values[z] == 0 for z in points[0].block] == [True, True]
+    assert [f.values[z] == 0 for z in points[1].block] == [False]
     assert point_ideal(algebra, "b") == points[0]
 
 
@@ -237,31 +268,21 @@ def test_not_a_morphism_names_the_first_failing_pair():
         assert res.stdout.split() == ["a", "b"]
 
 
-def test_dual_morphism_shared_context_matches_a_fresh_one():
-    """Every point map between 3-point posets: the same map, or both raise.
-
-    The shared context serves two sample counts in turn, as it does inside
-    enumerate_adjunction, and a map is accepted iff it is monotone on every
-    pair of the space.
-    """
+def test_dual_morphism_accepts_exactly_the_monotone_maps():
+    """Every point map between 3-point posets: returned iff monotone on every pair."""
     for space in enumerate_posets(3, "abc"):
         for target in enumerate_posets(3, "pqr"):
             skeleton = SbalSkeleton(target)
-            ctx = _AdjunctionContext(space, skeleton)
-            spec_order = ctx.spec.order
-            maps = itertools.product(spec_order.elements, repeat=3)
-            for k, images in enumerate(maps):
+            spec_order = induced_order(concrete_envelope(skeleton),
+                                       ProximityOracle.from_skeleton(skeleton)).order
+            for k, images in enumerate(itertools.product(spec_order.elements, repeat=3)):
                 h = dict(zip(space.elements, images))
-                outcomes = []
-                for shared in (ctx, None):
-                    try:
-                        outcomes.append(("map", dual_morphism(h, space, skeleton, seed=3,
-                                                              samples=(4, 8)[k % 2], _ctx=shared)))
-                    except NotAMorphism as exc:
-                        outcomes.append(("raised", exc.details))
-                assert outcomes[0] == outcomes[1]
                 monotone = all(spec_order.leq(h[x], h[y]) for x, y in space.pairs)
-                assert (outcomes[0] == ("map", h)) if monotone else (outcomes[0][0] == "raised")
+                try:
+                    outcome = dual_morphism(h, space, skeleton, seed=3, samples=(4, 8)[k % 2])
+                except NotAMorphism:
+                    outcome = None
+                assert outcome == (h if monotone else None)
 
 
 def test_apply_point_map_acts_by_composition():
@@ -282,6 +303,85 @@ def test_recover_point_map_from_action():
     point_map = {"a": "M(p)", "b": "M(p)", "c": "M(q)"}
     action = lambda f: apply_point_map(spec, point_map, f, VEE)
     assert recover_point_map(action, spec, VEE) == point_map
+
+
+def naturality_squares(space, skeleton, spec, hom):
+    """Both squares for every h in ``hom`` and monotone endomap, read by action.
+
+    Each composite morphism is built from its action alone, its point map
+    recovered through the block indicators and checked legal by
+    ``dual_morphism`` (once per distinct map).  Returns whether every square
+    commutes, and how many squares were checked.
+    """
+    spec_poset = spec.as_poset()
+    carrier = spec.algebra.carrier
+    label_of = {z: point_ideal(spec.algebra, z).label for z in carrier}
+    squares = []
+    for h in hom:
+        for psi in enumerate_monotone_maps(space, space):
+            def reindexed(f, h=h, psi=psi):
+                g = apply_point_map(spec, h, f, space)
+                return RationalFn(space.elements, {x: g.values[psi[x]] for x in space.elements})
+            squares.append((reindexed, {x: h[psi[x]] for x in space.elements}))
+        for k in enumerate_monotone_maps(spec_poset, spec_poset):
+            def composite(f, h=h, k=k):
+                vals = phi(spec.algebra, f, spec)
+                beta_f = RationalFn(carrier, {z: vals.values[k[label_of[z]]] for z in carrier})
+                return apply_point_map(spec, h, beta_f, space)
+            squares.append((composite, {x: k[h[x]] for x in space.elements}))
+    commute, legal = True, {}
+    for action, want in squares:
+        got = recover_point_map(action, spec, space)
+        key = tuple(sorted(got.items()))
+        if key not in legal:
+            try:
+                legal[key] = dual_morphism(got, space, skeleton, seed=4, samples=4) == got
+            except NotAMorphism:
+                legal[key] = False
+        commute = commute and legal[key] and got == want
+    return commute, len(squares)
+
+
+def test_naturality_closure_matches_the_squares_by_action():
+    """Spaces of up to 3 points, targets of up to 2: every legal h, psi and k."""
+    squares = 0
+    for space in posets_up_to(3):
+        for target in posets_up_to(2):
+            skeleton = SbalSkeleton(target)
+            report = enumerate_adjunction(space, skeleton)
+            commute, checked = naturality_squares(space, skeleton, report.spectrum,
+                                                  report.morphism_maps)
+            squares += checked
+            closed = _closed_under_endomaps(space, report.spectrum.as_poset(),
+                                            report.morphism_maps)
+            assert commute is closed is report.naturality_ok is True
+    assert squares == 1119
+
+
+def test_naturality_fails_without_one_composite():
+    """Dropping one composite breaks closure, on either side of the squares.
+
+    A constant map is k o h for a constant k; on a 1-point space it is no
+    h o psi of another map.  The map reversing a 2-chain target on a 2-point
+    antichain is h o psi for the swap psi, and no k o h for monotone k.
+    """
+    for space in posets_up_to(3):
+        for target in enumerate_posets(2):
+            report = enumerate_adjunction(space, SbalSkeleton(target))
+            spec_poset = report.spectrum.as_poset()
+            hom = report.morphism_maps
+            assert _closed_under_endomaps(space, spec_poset, hom)
+            constants = [h for h in hom if len(set(h.values())) == 1]
+            assert len(constants) == 2
+            for c in constants:
+                assert not _closed_under_endomaps(space, spec_poset,
+                                                  [h for h in hom if h != c])
+    space = FinitePoset("ab", [])
+    report = enumerate_adjunction(space, SbalSkeleton(chain("pq")))
+    reversed_map = {"a": "M(q)", "b": "M(p)"}
+    assert reversed_map in report.morphism_maps
+    assert not _closed_under_endomaps(space, report.spectrum.as_poset(),
+                                      [h for h in report.morphism_maps if h != reversed_map])
 
 
 def test_adjunction_pinned_counts():
