@@ -18,7 +18,8 @@ Rationals are canonical strings "n" or "n/d".  Orders are closed
 reflexively and transitively on load; generator skeletons induce the
 quasi-order x below y iff g(x) <= g(y) for every generator g.  A document
 listing more than CARRIER_CAP labels is refused with exit 2 before it is
-read further.
+read further, and a generator skeleton whose generators x labels^2
+exceeds GENERATOR_WORK_CAP before any label pair is compared.
 """
 
 from __future__ import annotations
@@ -50,15 +51,22 @@ INPUT_ERRORS = (UnknownElement, EmptyCarrier, CarrierMismatch,
 # rather than left to run for hours.
 SAMPLES_CAP = 100_000
 
-# An axiom run costs about samples x labels^1.8: 15 samples on a 256-label
-# chain skeleton (3,840) take about 10 s, so a larger product is refused
-# before any suite runs.
+# An axiom run costs about samples x labels^1.8: 15 samples with --devries
+# on a 256-label chain skeleton (3,840) take about 6.5 s, so a larger
+# product is refused before any suite runs.
 AXIOMS_WORK_CAP = 4_000
 
 # Closing a chain of 256 labels takes about 0.07 s, and closure time grows
 # about as n^2.3 (0.19 s at 512), so larger documents are refused before
 # any order or function is built.
 CARRIER_CAP = 256
+
+# A generator skeleton compares every label pair under every generator.
+# On 256 constant labels, where no comparison stops early, 152 generators
+# (9.96 million comparisons, at the cap) took 6.0 to 7.9 s end to end and
+# 200 generators 10 to 13.3 s, so a larger generators x labels^2 product
+# is refused before any pair is compared.
+GENERATOR_WORK_CAP = 10_000_000
 
 
 class _InputError(Exception):
@@ -177,6 +185,12 @@ def _load_skeleton(path: str) -> SbalSkeleton:
         carrier = gens[0].carrier
         for g in gens:
             check_carrier(g.carrier, carrier)
+        work = len(gens) * len(carrier) ** 2
+        if work > GENERATOR_WORK_CAP:
+            raise TooLargeToEnumerate(
+                f"generator skeletons are capped at {GENERATOR_WORK_CAP} generators x labels^2",
+                {"generators": len(gens), "labels": len(carrier), "product": work,
+                 "cap": GENERATOR_WORK_CAP})
         pairs = [(x, y) for x in carrier for y in carrier
                  if all(g.values[x] <= g.values[y] for g in gens)]
         return SbalSkeleton(QuasiOrder(carrier, pairs))

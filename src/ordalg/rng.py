@@ -9,7 +9,10 @@ byte-identical across runs and platforms.
 
 Sampled function coordinates are rationals k/8 with k drawn uniformly from
 [-16, 16], so raw samples live in [-2, 2] on a grid fine enough to exercise
-strict and non-strict comparisons alike.
+strict and non-strict comparisons alike.  The 33 grid values are built once
+as Fractions and every coordinate indexes into them with one ``randint``,
+so a draw builds no new Fraction.  Callers wrap sampled values on an
+already checked carrier with ``RationalFn._make``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from typing import Sequence
 
 DEFAULT_SEED = 0
 
-# Raw coordinates are k/8 with k uniform in [-16, 16].
+# Raw coordinates are k/8 with k uniform in [-16, 16]; _GRID[k + _SPAN] is k/8.
 _STEP = 8
 _SPAN = 16
+_GRID = tuple(Fraction(k, _STEP) for k in range(-_SPAN, _SPAN + 1))
 
 
 def child_seed(seed: int, *tags: str) -> int:
@@ -42,16 +46,16 @@ def rng_for(seed: int, *tags: str) -> random.Random:
 
 
 def sample_scalar(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-_SPAN, _SPAN), _STEP)
+    return _GRID[rng.randint(-_SPAN, _SPAN) + _SPAN]
 
 
 def sample_nonneg_scalar(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(0, _SPAN), _STEP)
+    return _GRID[rng.randint(0, _SPAN) + _SPAN]
 
 
 def sample_values(rng: random.Random, carrier: Sequence[str]) -> dict:
-    return {x: sample_scalar(rng) for x in carrier}
+    return {x: _GRID[rng.randint(-_SPAN, _SPAN) + _SPAN] for x in carrier}
 
 
 def sample_nonneg_values(rng: random.Random, carrier: Sequence[str]) -> dict:
-    return {x: sample_nonneg_scalar(rng) for x in carrier}
+    return {x: _GRID[rng.randint(0, _SPAN) + _SPAN] for x in carrier}

@@ -83,11 +83,12 @@ class SbalSkeleton:
 
     def sample_member(self, rng: random.Random) -> RationalFn:
         """A random member: the envelope of a random function."""
-        return self.envelope(RationalFn(self.carrier, rngmod.sample_values(rng, self.carrier)))
+        return self.envelope(
+            RationalFn._make(self.carrier, rngmod.sample_values(rng, self.carrier)))
 
     def sample_nonneg_member(self, rng: random.Random) -> RationalFn:
         return self.envelope(
-            RationalFn(self.carrier, rngmod.sample_nonneg_values(rng, self.carrier)))
+            RationalFn._make(self.carrier, rngmod.sample_nonneg_values(rng, self.carrier)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SbalSkeleton):
@@ -112,6 +113,21 @@ class EnvelopePair:
         object.__setattr__(self, "skeleton", skeleton)
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
+
+    @classmethod
+    def _make(cls, skeleton: SbalSkeleton, pos: RationalFn, neg: RationalFn) -> "EnvelopePair":
+        """A pair from representatives already in the cone; nothing is checked.
+
+        The cone is closed under every operation that derives a pair from
+        pairs (shifts, sums, swapping the representatives, products of
+        nonnegative members, nonnegative scaling, join and meet), so derived
+        pairs come through here and only the public constructor validates.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "skeleton", skeleton)
+        object.__setattr__(p, "pos", pos)
+        object.__setattr__(p, "neg", neg)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("EnvelopePair is immutable")
@@ -142,7 +158,7 @@ class EnvelopePair:
     def shift(self, r) -> "EnvelopePair":
         """The same class with both representatives moved by r."""
         r = as_fraction(r)
-        return EnvelopePair(self.skeleton, self.pos + r, self.neg + r)
+        return EnvelopePair._make(self.skeleton, self.pos + r, self.neg + r)
 
     def nonneg_representative(self) -> "EnvelopePair":
         low = min(self.pos.min_value(), self.neg.min_value())
@@ -150,12 +166,12 @@ class EnvelopePair:
 
     def __add__(self, other):
         q = self._coerce(other)
-        return EnvelopePair(self.skeleton, self.pos + q.pos, self.neg + q.neg)
+        return EnvelopePair._make(self.skeleton, self.pos + q.pos, self.neg + q.neg)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EnvelopePair(self.skeleton, self.neg, self.pos)
+        return EnvelopePair._make(self.skeleton, self.neg, self.pos)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -167,25 +183,25 @@ class EnvelopePair:
         u = self.nonneg_representative()
         v = self._coerce(other).nonneg_representative()
         a, b, c, d = u.pos, u.neg, v.pos, v.neg
-        return EnvelopePair(self.skeleton, a * c + b * d, a * d + b * c)
+        return EnvelopePair._make(self.skeleton, a * c + b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def scale(self, r) -> "EnvelopePair":
         r = as_fraction(r)
         if r >= 0:
-            return EnvelopePair(self.skeleton, self.pos.scale(r), self.neg.scale(r))
-        return EnvelopePair(self.skeleton, self.neg.scale(-r), self.pos.scale(-r))
+            return EnvelopePair._make(self.skeleton, self.pos.scale(r), self.neg.scale(r))
+        return EnvelopePair._make(self.skeleton, self.neg.scale(-r), self.pos.scale(-r))
 
     def join(self, other) -> "EnvelopePair":
         q = self._coerce(other)
         a, b, c, d = self.pos, self.neg, q.pos, q.neg
-        return EnvelopePair(self.skeleton, (a + d).join(b + c), b + d)
+        return EnvelopePair._make(self.skeleton, (a + d).join(b + c), b + d)
 
     def meet(self, other) -> "EnvelopePair":
         q = self._coerce(other)
         a, b, c, d = self.pos, self.neg, q.pos, q.neg
-        return EnvelopePair(self.skeleton, (a + d).meet(b + c), b + d)
+        return EnvelopePair._make(self.skeleton, (a + d).meet(b + c), b + d)
 
     def le(self, other) -> bool:
         q = self._coerce(other)

@@ -201,11 +201,12 @@ def phi_respects_proximity(space: FinitePoset, *, samples: int = 1000,
     carrier = space.elements
     report = PhiReport(0, 0, [])
     for _ in range(samples):
-        a = RationalFn(carrier, rngmod.sample_values(rng, carrier))
+        a = RationalFn._make(carrier, rngmod.sample_values(rng, carrier))
         if rng.random() < 0.5:
-            b = oracle.witness(a) + RationalFn(carrier, rngmod.sample_nonneg_values(rng, carrier))
+            b = oracle.witness(a) + RationalFn._make(carrier,
+                                                     rngmod.sample_nonneg_values(rng, carrier))
         else:
-            b = RationalFn(carrier, rngmod.sample_values(rng, carrier))
+            b = RationalFn._make(carrier, rngmod.sample_values(rng, carrier))
         source = oracle.decide(a, b)
         target = spec_oracle.decide(phi(algebra, a, spec), phi(algebra, b, spec))
         report.checked += 1

@@ -15,8 +15,8 @@ import pytest
 
 from ordalg.approx import DIEUDONNE_STEP_CAP
 from ordalg import QuasiOrder, RationalFn, SubalgebraPartition
-from ordalg.cli import (AXIOMS_WORK_CAP, CARRIER_CAP, SAMPLES_CAP, _samples, build_parser,
-                        main)
+from ordalg.cli import (AXIOMS_WORK_CAP, CARRIER_CAP, GENERATOR_WORK_CAP, SAMPLES_CAP,
+                        _samples, build_parser, main)
 
 CHAIN2 = {"elements": ["p", "q"], "leq": [["p", "q"]]}
 LOOP = {"elements": ["p", "q"], "leq": [["p", "q"], ["q", "p"]]}
@@ -329,6 +329,41 @@ def test_axioms_above_the_work_cap_is_refused_before_any_suite(docs, monkeypatch
     with pytest.raises(RuntimeError, match="suite started"):
         main(["axioms", "--oracle", "r2", "--samples", str(AXIOMS_WORK_CAP // 2)])
     assert started == [AXIOMS_WORK_CAP // 2]
+
+
+def test_generator_skeletons_above_the_work_cap_are_refused_before_any_pair(docs, monkeypatch,
+                                                                           capsys):
+    """generators x labels^2 is capped: above it exit 2 before any pair is compared."""
+    cli = importlib.import_module("ordalg.cli")
+    ordered = []
+
+    def record(elements, pairs):
+        ordered.append(len(elements))
+        return QuasiOrder(elements, pairs)
+
+    monkeypatch.setattr(cli, "QuasiOrder", record)
+    labels = [f"e{i}" for i in range(CARRIER_CAP)]
+    flat = {"carrier": labels, "values": {x: "0" for x in labels}}
+    count = GENERATOR_WORK_CAP // CARRIER_CAP ** 2 + 1
+    big = docs("big.json", {"generators": [flat] * count})
+    assert main(["spectrum", "--skeleton", big]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: generator skeletons are capped at {GENERATOR_WORK_CAP} "
+                          "generators x labels^2")
+    assert payload(out)["details"] == {"generators": count, "labels": CARRIER_CAP,
+                                       "product": count * CARRIER_CAP ** 2,
+                                       "cap": GENERATOR_WORK_CAP}
+    assert ordered == []
+    # At the cap the order is built; one generator more is refused.
+    monkeypatch.setattr(cli, "GENERATOR_WORK_CAP", 2 * 2 ** 2)
+    assert main(["spectrum", "--skeleton", docs("two.json", {"generators": [F01, F10]})]) == 0
+    assert ordered == [2]
+    capsys.readouterr()
+    three = docs("three.json", {"generators": [F01, F10, F01]})
+    assert main(["spectrum", "--skeleton", three]) == 2
+    assert payload(capsys.readouterr().out)["details"] == {
+        "generators": 3, "labels": 2, "product": 12, "cap": 8}
+    assert ordered == [2]
 
 
 def test_flags_belong_to_the_commands_that_read_them(docs):

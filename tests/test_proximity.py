@@ -14,6 +14,8 @@ from ordalg.fnalg import SubalgebraPartition
 from ordalg.proximity import R2_CARRIER
 from ordalg.rng import rng_for, sample_values
 
+from finite_cases import quasi_orders_up_to_iso, weak_orderings
+
 VEE = FinitePoset("abc", [("a", "c"), ("b", "c")])
 
 
@@ -54,6 +56,44 @@ def test_skeleton_oracle_routes_agree():
             for c in [RationalFn("abc", dict(zip("abc", combo)))]
             if oracle.skeleton.contains(c))
         assert direct == exists
+
+
+def test_decide_matches_the_envelope_on_every_weak_ordering():
+    """The pairwise criterion against the envelope route, exhaustively up to 3 points.
+
+    Both routes compare values only, so one instance per weak ordering of
+    the 2n values of (a, b) covers every rational instance on an order.
+    """
+    cases = 0
+    for n, classes in ((1, 1), (2, 3), (3, 9)):
+        orders = quasi_orders_up_to_iso(n)
+        assert len(orders) == classes
+        rankings = weak_orderings(2 * n)
+        for order in orders:
+            oracle = ProximityOracle.from_order(order)
+            carrier = order.elements
+            for ranks in rankings:
+                a = RationalFn(carrier, dict(zip(carrier, ranks[:n])))
+                b = RationalFn(carrier, dict(zip(carrier, ranks[n:])))
+                assert oracle.decide(a, b) == oracle.witness(a).le(b), (order, ranks)
+                cases += 1
+    assert cases == 42_375
+
+
+def test_decide_reads_either_argument_on_a_permuted_carrier():
+    rankings = weak_orderings(6)[::97]
+    for order in quasi_orders_up_to_iso(3):
+        oracle = ProximityOracle.from_order(order)
+        carrier = order.elements
+        flipped = carrier[::-1]
+        for ranks in rankings:
+            a = RationalFn(carrier, dict(zip(carrier, ranks[:3])))
+            b = RationalFn(carrier, dict(zip(carrier, ranks[3:])))
+            expected = oracle.witness(a).le(b)
+            assert oracle.decide(a, b.on(flipped)) == expected
+            assert oracle.decide(a.on(flipped), b) == expected
+    with pytest.raises(CarrierMismatch):
+        ProximityOracle.r2().decide(r2fn(0, 0), RationalFn("ab", {"a": 0, "b": 0}))
 
 
 def test_prox_decide_witness_interpolates():

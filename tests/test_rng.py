@@ -1,0 +1,31 @@
+"""Sampled values: the value table against the arithmetic definition."""
+
+from fractions import Fraction
+
+from ordalg.rng import (rng_for, sample_nonneg_scalar, sample_nonneg_values,
+                        sample_scalar, sample_values)
+
+CARRIER = ("p", "q", "r")
+
+
+def test_table_draws_equal_fractions_of_the_same_randint_calls():
+    """Over 10,000 draws each sampler returns Fraction(randint(...), 8) for the same seed."""
+    drawn, reference = rng_for(23, "table"), rng_for(23, "table")
+    for i in range(10_000):
+        kind = i % 4
+        if kind == 0:
+            got = {"": sample_scalar(drawn)}
+            want = {"": Fraction(reference.randint(-16, 16), 8)}
+        elif kind == 1:
+            got = {"": sample_nonneg_scalar(drawn)}
+            want = {"": Fraction(reference.randint(0, 16), 8)}
+        elif kind == 2:
+            got = sample_values(drawn, CARRIER)
+            want = {x: Fraction(reference.randint(-16, 16), 8) for x in CARRIER}
+        else:
+            got = sample_nonneg_values(drawn, CARRIER)
+            want = {x: Fraction(reference.randint(0, 16), 8) for x in CARRIER}
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is Fraction for v in got.values())
+    # Both generators consumed the same stream.
+    assert drawn.random() == reference.random()

@@ -4,9 +4,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordalg import (CarrierMismatch, EnvelopePair, NotAMorphism,
-                    NotInSkeleton, NotRepresentable, QuasiOrder, RationalFn,
+                    NotInSkeleton, NotMonotone, NotRepresentable, QuasiOrder, RationalFn,
                     SbalSkeleton, chain, check_skeleton_axioms,
                     complete_quasi_order, concrete_envelope,
                     difference_decompose, envelope_umt, monotone_envelope,
@@ -81,10 +83,40 @@ def test_equal_pairs_in_different_label_orders_hash_equally():
 
 
 def test_pair_requires_cone_members():
+    """The public constructor checks both representatives."""
     s = sk(chain("ab"))
     down = RationalFn("ab", {"a": 1, "b": 0})
-    with pytest.raises(NotInSkeleton):
-        EnvelopePair(s, down, s.zero())
+    for pos, neg in ((down, s.zero()), (s.zero(), down)):
+        with pytest.raises(NotMonotone):
+            EnvelopePair(s, pos, neg)
+
+
+@st.composite
+def posets(draw, max_size=4):
+    """A random poset: some forward edges along a shuffled listing of its labels."""
+    n = draw(st.integers(1, max_size))
+    labels = tuple(f"x{i}" for i in range(n))
+    line = draw(st.permutations(labels))
+    spans = list(itertools.combinations(line, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(spans), max_size=len(spans)))
+    return FinitePoset(labels, [p for p, k in zip(spans, keep) if k])
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(order=posets(), values=st.lists(st.integers(-4, 4), min_size=16, max_size=16),
+       r=st.integers(-8, 8).map(lambda k: Fraction(k, 4)))
+def test_derived_pairs_have_members_as_representatives(order, values, r):
+    """The cone is closed under every pair operation, so no derived pair needs a check."""
+    s = SbalSkeleton(order)
+    elements = order.elements
+    f, g, h, k = (s.envelope(RationalFn(elements, dict(zip(elements, values[4 * i:]))))
+                  for i in range(4))
+    p, q = EnvelopePair(s, f, g), EnvelopePair(s, h, k)
+    derived = [p.shift(r), p.nonneg_representative(), p + q, p - q, -p, p * q,
+               p.scale(r), p.scale(-r), p.join(q), p.meet(q),
+               p + r, r - p, p * r, p.join(r), p.meet(r)]
+    for d in derived:
+        assert s.contains(d.pos) and s.contains(d.neg), d
 
 
 def test_pinned_join_and_mul():
