@@ -44,30 +44,30 @@ inside the cone.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import NoApproximantWithinTolerance, NonPositiveEpsilon, TooLargeToEnumerate
-from .fnalg import RationalFn, as_fraction
+from .fnalg import RationalFn, _Record, as_fraction
 from .order import require_monotone
 from .proximity import ProximityOracle, separation_point
 from .sbal import SbalSkeleton
 from .spectrum import canonical_witness
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(_Record):
     """One constructed piece a_{r,y}, with the level set it tops out on."""
 
-    r: Fraction
-    y: str
-    fn: RationalFn
-    upset: tuple
+    __slots__ = ("r", "y", "fn", "upset")
+
+    def __init__(self, r: Fraction, y: str, fn: RationalFn, upset: tuple):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "upset", upset)
 
 
-@dataclass(frozen=True)
-class SWGrid:
+class SWGrid(_Record):
     """The grid the levels r are chosen from, held in closed form.
 
     Its members are the ladder bottom + k*step for k >= 1 up to top, and
@@ -76,10 +76,13 @@ class SWGrid:
     above a value are computed without listing the ladder.
     """
 
-    bottom: Fraction
-    step: Fraction
-    top: Fraction
-    off_ladder: Tuple[Fraction, ...]
+    __slots__ = ("bottom", "step", "top", "off_ladder")
+
+    def __init__(self, bottom: Fraction, step: Fraction, top: Fraction, off_ladder: tuple):
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "off_ladder", off_ladder)
 
     @classmethod
     def from_values(cls, values: Sequence[Fraction], epsilon: Fraction) -> SWGrid:
@@ -87,8 +90,13 @@ class SWGrid:
         off = {v for v in values if (v - bottom) % step}
         return cls(bottom, step, max(values), tuple(sorted(off)))
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of members; it may exceed ``sys.maxsize``, which ``len`` cannot."""
         return (self.top - self.bottom) // self.step + len(self.off_ladder)
+
+    def __len__(self) -> int:
+        return self.size
 
     def __contains__(self, value) -> bool:
         return value in self.off_ladder or (
@@ -104,15 +112,16 @@ class SWGrid:
                    self.off_ladder[i] if i < len(self.off_ladder) else self.top)
 
 
-@dataclass
 class SWCertificate:
     """Approximant plus everything needed to re-check it from scratch."""
 
-    approximant: RationalFn
-    epsilon: Fraction
-    grid: SWGrid
-    family: Tuple[FamilyMember, ...]
-    cover: tuple
+    def __init__(self, approximant: RationalFn, epsilon: Fraction, grid: SWGrid,
+                 family: Tuple[FamilyMember, ...], cover: tuple):
+        self.approximant = approximant
+        self.epsilon = epsilon
+        self.grid = grid
+        self.family = family
+        self.cover = cover
 
     @property
     def family_size(self) -> int:
@@ -122,7 +131,7 @@ class SWCertificate:
         return {"approximant": self.approximant.to_dict(),
                 "epsilon": str(self.epsilon),
                 "family_size": self.family_size,
-                "grid_size": len(self.grid),
+                "grid_size": self.grid.size,
                 "cover": [[x, i] for x, i in self.cover]}
 
 
@@ -189,14 +198,15 @@ def dieudonne_claim(f: RationalFn, g: RationalFn, oracle: ProximityOracle, r) ->
     return w - r / 2
 
 
-@dataclass
 class DieudonneTrace:
     """The refinement sequence a_0 = a_1, a_2, ..., with its inputs."""
 
-    f: RationalFn
-    g: RationalFn
-    terms: Tuple[RationalFn, ...]
-    limit_witness: RationalFn
+    def __init__(self, f: RationalFn, g: RationalFn, terms: Tuple[RationalFn, ...],
+                 limit_witness: RationalFn):
+        self.f = f
+        self.g = g
+        self.terms = terms
+        self.limit_witness = limit_witness
 
     @property
     def steps(self) -> int:

@@ -137,7 +137,8 @@ def _labels(items, what: str) -> tuple:
 
 def _order_from_doc(doc: dict, *, antisymmetric: bool) -> QuasiOrder:
     _cap_labels(doc)
-    if not isinstance(doc.get("elements"), list) or not isinstance(doc.get("leq"), list):
+    if not (isinstance(doc, dict) and isinstance(doc.get("elements"), list)
+            and isinstance(doc.get("leq"), list)):
         raise _InputError('an order document needs "elements" and "leq" lists')
     elements = _labels(doc["elements"], "the order elements")
     pairs = []

@@ -23,7 +23,6 @@ the carrier order of whatever receives it (:meth:`RationalFn.on`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -58,7 +57,33 @@ def check_carrier(found: tuple, expected: tuple) -> None:
                               {"expected": list(expected), "found": list(found)})
 
 
-class RationalFn:
+class _Immutable:
+    """Base of the immutable values: slots are set once, through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Record(_Immutable):
+    """An immutable value compared and hashed by its slots, in order."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class RationalFn(_Immutable):
     """A rational-valued function on a finite ordered carrier.
 
     The carrier is a tuple of distinct labels; iteration and serialization
@@ -97,9 +122,6 @@ class RationalFn:
         object.__setattr__(f, "carrier", carrier)
         object.__setattr__(f, "values", values)
         return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
 
     @classmethod
     def constant(cls, carrier: Sequence[str], value: Scalar) -> "RationalFn":
@@ -234,8 +256,7 @@ class RationalFn:
         return cls(tuple(doc["carrier"]), dict(doc["values"]))
 
 
-@dataclass(frozen=True)
-class SubalgebraPartition:
+class SubalgebraPartition(_Immutable):
     """A closed unital subalgebra, presented by its carrier partition.
 
     The subalgebra consists of exactly the functions constant on each
@@ -243,28 +264,26 @@ class SubalgebraPartition:
     appear in carrier order; blocks are ordered by their first label.
     """
 
-    carrier: tuple
-    blocks: tuple
+    __slots__ = ("carrier", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(self.carrier))
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        if not self.carrier:
+    def __init__(self, carrier: Sequence[str], blocks: Iterable[Iterable[str]]):
+        carrier = tuple(carrier)
+        blocks = tuple(tuple(b) for b in blocks)
+        if not carrier:
             raise EmptyCarrier("a subalgebra needs a nonempty carrier")
-        pos = {x: i for i, x in enumerate(self.carrier)}
+        pos = {x: i for i, x in enumerate(carrier)}
         seen = []
-        for block in self.blocks:
+        for block in blocks:
             for x in block:
                 if x not in pos:
                     raise UnknownElement(f"block mentions {x!r} outside the carrier", {"element": x})
             seen.extend(block)
-        if sorted(seen, key=pos.__getitem__) != list(self.carrier) or len(seen) != len(self.carrier):
+        if sorted(seen, key=pos.__getitem__) != list(carrier) or len(seen) != len(carrier):
             raise UnknownElement("blocks do not partition the carrier",
-                                 {"carrier": list(self.carrier),
-                                  "blocks": [list(b) for b in self.blocks]})
-        canon = tuple(tuple(sorted(b, key=pos.__getitem__)) for b in self.blocks)
-        canon = tuple(sorted(canon, key=lambda b: pos[b[0]]))
-        object.__setattr__(self, "blocks", canon)
+                                 {"carrier": list(carrier), "blocks": [list(b) for b in blocks]})
+        canon = tuple(tuple(sorted(b, key=pos.__getitem__)) for b in blocks)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "blocks", tuple(sorted(canon, key=lambda b: pos[b[0]])))
 
     @classmethod
     def discrete(cls, carrier: Sequence[str]) -> "SubalgebraPartition":

@@ -34,14 +34,14 @@ from .errors import (
     TooLargeToEnumerate,
     UnknownElement,
 )
-from .fnalg import RationalFn, check_carrier
+from .fnalg import RationalFn, _Immutable, check_carrier
 
 Pair = Tuple[str, str]
 
 ENUMERATION_CAP = 6
 
 
-class QuasiOrder:
+class QuasiOrder(_Immutable):
     """A reflexive transitive relation on a finite carrier.
 
     ``pairs`` may be any generating set; the constructor stores the
@@ -100,9 +100,6 @@ class QuasiOrder:
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_blocks", tuple(blocks))
         object.__setattr__(self, "_covers", tuple(covers))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def pairs(self) -> frozenset:

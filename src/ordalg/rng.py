@@ -17,7 +17,6 @@ already checked carrier with ``RationalFn._make``.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +31,9 @@ _GRID = tuple(Fraction(k, _STEP) for k in range(-_SPAN, _SPAN + 1))
 
 def child_seed(seed: int, *tags: str) -> int:
     """Derive an independent 64-bit child seed from ``seed`` and ``tags``."""
+    # Imported here: hashlib loads OpenSSL, and only seeded commands need it,
+    # so the CLI's other commands start without paying for that import.
+    import hashlib
     h = hashlib.sha256()
     h.update(str(int(seed)).encode("ascii"))
     for tag in tags:

@@ -23,9 +23,8 @@ a - r == m.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import TooLargeToEnumerate
 from .fnalg import RationalFn
@@ -61,16 +60,19 @@ def q_contains(skeleton: SbalSkeleton, m: RationalFn) -> bool:
     return skeleton.contains_nonneg(_shift(m)[0])
 
 
-@dataclass
 class PQRoundtripReport:
     """Membership agreement for both composite functors on a value grid."""
 
-    carrier: tuple
-    grid_points: int
-    checked: int
-    qp_mismatches: List[dict] = field(default_factory=list)
-    pq_mismatches: List[dict] = field(default_factory=list)
-    recompose_failures: List[dict] = field(default_factory=list)
+    def __init__(self, carrier: tuple, grid_points: int, checked: int,
+                 qp_mismatches: Optional[List[dict]] = None,
+                 pq_mismatches: Optional[List[dict]] = None,
+                 recompose_failures: Optional[List[dict]] = None):
+        self.carrier = carrier
+        self.grid_points = grid_points
+        self.checked = checked
+        self.qp_mismatches = [] if qp_mismatches is None else qp_mismatches
+        self.pq_mismatches = [] if pq_mismatches is None else pq_mismatches
+        self.recompose_failures = [] if recompose_failures is None else recompose_failures
 
     @property
     def identical(self) -> bool:

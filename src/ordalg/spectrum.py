@@ -31,13 +31,12 @@ its algebra, exhaustively at small sizes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import rng as rngmod
 from .errors import NotAMorphism, TooLargeToEnumerate, UnknownElement
-from .fnalg import RationalFn, SubalgebraPartition
+from .fnalg import RationalFn, SubalgebraPartition, _Record
 from .order import FinitePoset, QuasiOrder, enumerate_monotone_maps
 from .proximity import ProximityOracle, combined_order
 from .sbal import SbalSkeleton, concrete_envelope
@@ -45,11 +44,13 @@ from .sbal import SbalSkeleton, concrete_envelope
 ADJUNCTION_CAP = 4
 
 
-@dataclass(frozen=True)
-class MaxIdeal:
+class MaxIdeal(_Record):
     """The maximal ideal of functions vanishing on one partition block."""
 
-    block: tuple
+    __slots__ = ("block",)
+
+    def __init__(self, block: tuple):
+        object.__setattr__(self, "block", block)
 
     @property
     def label(self) -> str:
@@ -77,7 +78,6 @@ def canonical_witness(order: QuasiOrder, block: tuple) -> RationalFn:
                       {z: Fraction(0) if z in down else Fraction(1) for z in order.elements})
 
 
-@dataclass
 class OrderedSpectrum:
     """The spectrum of a subalgebra with its proximity-induced order.
 
@@ -86,12 +86,15 @@ class OrderedSpectrum:
     maps each failing relation (x, y) to c*_y, which shows it.
     """
 
-    algebra: SubalgebraPartition
-    points: Tuple[MaxIdeal, ...]
-    order: QuasiOrder
-    certificates: Dict[Tuple[str, str], RationalFn]
-    base: QuasiOrder
-    witnesses: List[RationalFn]
+    def __init__(self, algebra: SubalgebraPartition, points: Tuple[MaxIdeal, ...],
+                 order: QuasiOrder, certificates: Dict[Tuple[str, str], RationalFn],
+                 base: QuasiOrder, witnesses: List[RationalFn]):
+        self.algebra = algebra
+        self.points = points
+        self.order = order
+        self.certificates = certificates
+        self.base = base
+        self.witnesses = witnesses
 
     @property
     def is_partial_order(self) -> bool:
@@ -123,15 +126,16 @@ def induced_order(algebra: SubalgebraPartition, oracle: ProximityOracle) -> Orde
     return OrderedSpectrum(algebra, points, spec_order, certificates, order, witnesses)
 
 
-@dataclass
 class EtaReport:
     """The unit map of the duality on one space, with its verification."""
 
-    space: FinitePoset
-    spectrum: OrderedSpectrum
-    mapping: Dict[str, MaxIdeal]
-    is_bijective: bool
-    is_order_isomorphism: bool
+    def __init__(self, space: FinitePoset, spectrum: OrderedSpectrum,
+                 mapping: Dict[str, MaxIdeal], is_bijective: bool, is_order_isomorphism: bool):
+        self.space = space
+        self.spectrum = spectrum
+        self.mapping = mapping
+        self.is_bijective = is_bijective
+        self.is_order_isomorphism = is_order_isomorphism
 
     def to_dict(self) -> dict:
         return {"mapping": {x: m.label for x, m in self.mapping.items()},
@@ -164,13 +168,13 @@ def phi(algebra: SubalgebraPartition, f: RationalFn,
                       {p.label: f.values[p.block[0]] for p in points})
 
 
-@dataclass
 class PhiReport:
     """Sampled preserve/reflect comparison for the evaluation map."""
 
-    checked: int
-    related_hits: int
-    mismatches: List[dict]
+    def __init__(self, checked: int, related_hits: int, mismatches: List[dict]):
+        self.checked = checked
+        self.related_hits = related_hits
+        self.mismatches = mismatches
 
     @property
     def ok(self) -> bool:
@@ -284,17 +288,19 @@ def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
     return dict(point_map)
 
 
-@dataclass
 class AdjunctionReport:
     """Exhaustive match between space maps and algebra morphisms."""
 
-    space: FinitePoset
-    spectrum: OrderedSpectrum
-    monotone_maps: List[dict]
-    morphism_maps: List[dict]
-    theta: List[Tuple[dict, dict]]
-    bijective: bool
-    naturality_ok: bool
+    def __init__(self, space: FinitePoset, spectrum: OrderedSpectrum, monotone_maps: List[dict],
+                 morphism_maps: List[dict], theta: List[Tuple[dict, dict]], bijective: bool,
+                 naturality_ok: bool):
+        self.space = space
+        self.spectrum = spectrum
+        self.monotone_maps = monotone_maps
+        self.morphism_maps = morphism_maps
+        self.theta = theta
+        self.bijective = bijective
+        self.naturality_ok = naturality_ok
 
     @property
     def count(self) -> int:

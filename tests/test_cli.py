@@ -173,6 +173,31 @@ def test_unhashable_labels_are_input_errors(docs, argv, doc):
     assert "Traceback" not in res.stderr
 
 
+SKELETON_COMMANDS = {
+    "envelope": ["--function", "f01", "--direction", "upper"],
+    "prox": ["--left", "f01", "--right", "f10"],
+    "axioms": [],
+    "spectrum": [],
+    "induced-order": [],
+    "sw-approx": ["--function", "f01", "--eps", "1/4"],
+    "dieudonne": ["--left", "f01", "--right", "f01"],
+    "adjunction": ["--poset", "chain2"],
+    "pq-roundtrip": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SKELETON_COMMANDS))
+def test_a_skeleton_quasiorder_that_is_not_an_object_is_an_input_error(docs, capsys, command):
+    files = {"f01": docs("f01.json", F01), "f10": docs("f10.json", F10),
+             "chain2": docs("chain2.json", CHAIN2)}
+    extra = [files.get(arg, arg) for arg in SKELETON_COMMANDS[command]]
+    for bad in (["p", "q"], "p<q", None, 3):
+        skeleton = docs("skel.json", {"quasiorder": bad})
+        assert main([command, "--skeleton", skeleton, *extra]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith('error: an order document needs "elements" and "leq" lists')
+
+
 def test_roundtrip_rejects_quasi_order(docs):
     res = run("roundtrip", "--poset", docs("loop.json", LOOP))
     assert res.returncode == 2
@@ -225,6 +250,17 @@ def test_sw_approx_pinned(docs):
     body = payload(res.stdout)
     assert body["certificate"]["approximant"]["values"] == {"p": "1/8", "q": "1"}
     assert body["error"] == "1/8"
+
+
+def test_sw_approx_reports_a_grid_larger_than_maxsize(docs, capsys):
+    """len() cannot return more than sys.maxsize; the report reads the grid's exact size."""
+    huge = {"carrier": ["p", "q"], "values": {"p": "0", "q": "99999999999999999999/7"}}
+    argv = ["sw-approx", "--poset", docs("chain2.json", CHAIN2),
+            "--function", docs("huge.json", huge), "--eps", "1/4"]
+    assert main(argv) == 0
+    size = payload(capsys.readouterr().out)["certificate"]["grid_size"]
+    # Ladder k/8 for 1 <= k <= 8q, plus q itself, which is off the ladder.
+    assert size == 8 * 99999999999999999999 // 7 + 1 > sys.maxsize
 
 
 def test_sw_approx_rejects_zero_eps(docs):

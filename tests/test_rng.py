@@ -1,8 +1,8 @@
-"""Sampled values: the value table against the arithmetic definition."""
+"""Sampled values: the value table against the arithmetic definition, and pinned child seeds."""
 
 from fractions import Fraction
 
-from ordalg.rng import (rng_for, sample_nonneg_scalar, sample_nonneg_values,
+from ordalg.rng import (child_seed, rng_for, sample_nonneg_scalar, sample_nonneg_values,
                         sample_scalar, sample_values)
 
 CARRIER = ("p", "q", "r")
@@ -29,3 +29,10 @@ def test_table_draws_equal_fractions_of_the_same_randint_calls():
         assert all(type(v) is Fraction for v in got.values())
     # Both generators consumed the same stream.
     assert drawn.random() == reference.random()
+
+
+def test_child_seeds_are_pinned():
+    """The SHA-256 derivation is part of every replayable report; these values never change."""
+    assert child_seed(0) == 6912158355717386040
+    assert child_seed(7, "prox-axioms") == 5325071960519508237
+    assert child_seed(2 ** 64 + 3, "phi-respects", "\u00e9") == 11711546198992262354
