@@ -13,26 +13,25 @@ from .approx import (DieudonneTrace, FamilyMember, SWCertificate, SWGrid,
 from .errors import (AntisymmetryViolation, CarrierMismatch, EmptyCarrier,
                      NoApproximantWithinTolerance, NonPositiveEpsilon,
                      NotAMorphism, NotBlockConstant, NotInSkeleton,
-                     NotMonotone, NotRepresentable, OrdalgError,
-                     TooLargeToEnumerate, UnknownElement)
-from .fnalg import (RationalFn, SubalgebraPartition, as_fraction,
-                    check_carrier, generate_closed_subalgebra)
-from .order import (FinitePoset, QuasiOrder, antichain, chain,
-                    complete_quasi_order, enumerate_monotone_maps,
-                    enumerate_posets, is_monotone, monotone_envelope,
-                    posets_up_to, random_poset, require_monotone)
+                     NotMonotone, OrdalgError, TooLargeToEnumerate,
+                     UnknownElement)
+from .fnalg import RationalFn, SubalgebraPartition, as_fraction, check_carrier
+from .order import (FinitePoset, QuasiOrder, chain, complete_quasi_order,
+                    enumerate_monotone_maps, enumerate_posets, is_monotone,
+                    monotone_envelope, posets_up_to, random_poset,
+                    require_monotone)
 from .proximity import (ProximityOracle, check_axioms, combined_order,
                         is_nachbin, positive_below, prox_decide,
                         separation_point)
 from .rng import DEFAULT_SEED, child_seed, rng_for
 from .sbal import (AxiomReport, AxiomResult, EnvelopePair, SbalSkeleton,
                    archimedean_premise, check_skeleton_axioms,
-                   concrete_envelope, difference_decompose, envelope_umt)
-from .sbal_plus import PQRoundtripReport, q_contains, q_decompose, roundtrip_pq
+                   concrete_envelope, envelope_umt)
+from .sbal_plus import PQRoundtripReport, roundtrip_pq
 from .spectrum import (AdjunctionReport, EtaReport, MaxIdeal, OrderedSpectrum,
-                       PhiReport, canonical_witness, dual_morphism,
-                       enumerate_adjunction, eta, induced_order, phi,
-                       phi_respects_proximity, point_ideal, spectrum)
+                       PhiReport, canonical_witness, enumerate_adjunction,
+                       eta, induced_order, phi, phi_respects_proximity,
+                       point_ideal, spectrum)
 
 __version__ = "0.1.0"
 

@@ -114,8 +114,11 @@ def _load_doc(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Also undecodable bytes and integer literals too long to convert.
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{path} nests JSON too deeply to read") from exc
     if not isinstance(doc, dict):
         raise _InputError(f"{path} must hold a JSON object")
     return doc

@@ -42,10 +42,6 @@ class NotAMorphism(OrdalgError):
     """A claimed morphism fails one of its defining laws on a checked input."""
 
 
-class NotRepresentable(OrdalgError):
-    """No monotone difference representation exists for the given function."""
-
-
 class NotBlockConstant(OrdalgError):
     """A function is not constant on the blocks of the given partition."""
 

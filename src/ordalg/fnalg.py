@@ -11,10 +11,7 @@ meet in the usual way:
 
 Closed unital subalgebras of the full function space correspond exactly to
 partitions of the carrier: a subalgebra is the set of functions constant on
-each block of its partition.  :func:`generate_closed_subalgebra` computes
-the partition generated by a family of functions (the kernel partition),
-which is the coarsest partition on which every generator is block-constant
-and therefore presents the smallest closed subalgebra containing them.
+each block of its partition (:class:`SubalgebraPartition`).
 
 A carrier is a set of labels: two carriers match when they hold the same
 labels, in any order (:func:`check_carrier`), and a function is read in
@@ -24,7 +21,7 @@ the carrier order of whatever receives it (:meth:`RationalFn.on`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import CarrierMismatch, EmptyCarrier, NotBlockConstant, UnknownElement
 
@@ -328,27 +325,3 @@ class SubalgebraPartition(_Immutable):
     def to_dict(self) -> dict:
         return {"carrier": list(self.carrier), "blocks": [list(b) for b in self.blocks]}
 
-
-def generate_closed_subalgebra(generators: Iterable[RationalFn],
-                               carrier: Optional[Sequence[str]] = None) -> SubalgebraPartition:
-    """Kernel partition of a generating family.
-
-    Two points fall in the same block iff every generator agrees on them.
-    The result is the coarsest partition making all generators
-    block-constant, hence the smallest closed unital subalgebra containing
-    them.  With no generators the result is the constants.
-    """
-    gens = list(generators)
-    if carrier is None:
-        if not gens:
-            raise EmptyCarrier("need a carrier when the generating family is empty")
-        carrier = gens[0].carrier
-    carrier = tuple(carrier)
-    for g in gens:
-        check_carrier(g.carrier, carrier)
-    classes: dict = {}
-    for x in carrier:
-        key = tuple(g.values[x] for g in gens)
-        classes.setdefault(key, []).append(x)
-    blocks = tuple(tuple(members) for members in classes.values())
-    return SubalgebraPartition(carrier, blocks)

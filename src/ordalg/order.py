@@ -177,6 +177,8 @@ class QuasiOrder(_Immutable):
 class FinitePoset(QuasiOrder):
     """A quasi-order that is additionally antisymmetric."""
 
+    __slots__ = ()
+
     def __init__(self, elements: Sequence[str], pairs: Iterable[Pair] = ()):
         super().__init__(elements, pairs)
         pair = self.two_way_pair()
@@ -190,10 +192,6 @@ def chain(labels: Sequence[str]) -> FinitePoset:
     """The total order with the given labels, smallest first."""
     labels = tuple(labels)
     return FinitePoset(labels, [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)])
-
-
-def antichain(labels: Sequence[str]) -> FinitePoset:
-    return FinitePoset(labels, [])
 
 
 def complete_quasi_order(labels: Sequence[str]) -> QuasiOrder:

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from . import rng as rngmod
-from .errors import CarrierMismatch, NotAMorphism, NotInSkeleton, NotRepresentable
+from .errors import CarrierMismatch, NotAMorphism
 from .fnalg import RationalFn, SubalgebraPartition, _Immutable, as_fraction
 from .order import QuasiOrder, is_monotone, monotone_envelope, require_monotone
 
@@ -58,14 +58,6 @@ class SbalSkeleton(_Immutable):
 
     def require_member(self, f: RationalFn) -> None:
         require_monotone(f, self.order)
-
-    def require_nonneg_member(self, f: RationalFn) -> None:
-        """Raise unless f is in the positive cone: monotone and nonnegative."""
-        require_monotone(f, self.order)
-        if not f.ge(0):
-            x = next(x for x in f.carrier if f.values[x] < 0)
-            raise NotInSkeleton(f"negative value at {x!r}",
-                                {"element": x, "value": str(f.values[x])})
 
     def envelope(self, f: RationalFn) -> RationalFn:
         """Least member above f; equals f exactly when f is a member."""
@@ -256,42 +248,6 @@ def envelope_umt(alpha: Callable[[RationalFn], object], p: EnvelopePair, *,
                     raise NotAMorphism(f"alpha fails the {law} law on a sampled input",
                                        {"law": law, "sample": i})
     return alpha(p.pos) - alpha(p.neg)
-
-
-def difference_decompose(skeleton: SbalSkeleton, h: RationalFn) -> Tuple[RationalFn, RationalFn]:
-    """Write h as a difference f - g of two cone members.
-
-    A member already in the cone decomposes as (h, 0).  Otherwise h must
-    at least respect the two-way classes of the quasi-order, because every
-    cone member does; if it distinguishes equivalent points no
-    representation exists and NotRepresentable is raised.  The general
-    construction ranks each point by the size of its downset and adds a
-    multiple of the rank large enough to dominate h's variation:
-
-        g = M * rank,  f = h + g,  M = (max h - min h) + 1.
-
-    Two-way equivalent points have the same downset, so the rank is
-    constant on each class, where h is too.  Along a strict pair x < y the
-    downset of x lies inside that of y and misses y, so rank(y) >= rank(x) + 1
-    and f rises by at least M - (max h - min h) = 1.  Hence g and f are both
-    monotone.
-    """
-    order = skeleton.order
-    h = h.on(order.elements)
-    if skeleton.contains(h):
-        return h, skeleton.zero()
-    for block in order.equiv_blocks():
-        if len({h.values[x] for x in block}) > 1:
-            raise NotRepresentable(
-                "h distinguishes points that every cone member identifies",
-                {"block": list(block), "values": {x: str(h.values[x]) for x in block}})
-    rho = RationalFn(order.elements, {x: Fraction(len(order.downset(x))) for x in order.elements})
-    m = (h.max_value() - h.min_value()) + 1
-    g = rho.scale(m)
-    f = RationalFn(order.elements, {x: h.values[x] + g.values[x] for x in order.elements})
-    skeleton.require_member(f)
-    skeleton.require_member(g)
-    return f, g
 
 
 def concrete_envelope(skeleton: SbalSkeleton) -> SubalgebraPartition:

@@ -12,9 +12,9 @@ shifted elements are simply the monotone functions again, via
 so the two constructions are mutually inverse.  :func:`roundtrip_pq`
 checks that inverse pair membership-by-membership on an exhaustive value
 grid.  It compares two separate decision routes for each grid function m:
-direct monotonicity of m against the order, and the shift route of
-:func:`q_contains`, which shifts m by its negative excursion and asks the
-positive cone about the result.  The second route never asks whether m
+direct monotonicity of m against the order, and the shift route, which
+shifts m by its negative excursion r = max(0, -min m) and asks the
+positive cone about a = m + r.  The second route never asks whether m
 itself is monotone.  Each grid function is shifted once, and the shifted
 pair (a, r) serves both the shift route and the recompose check
 a - r == m.
@@ -28,7 +28,6 @@ from typing import List, Optional, Tuple
 
 from .errors import TooLargeToEnumerate
 from .fnalg import RationalFn
-from .order import require_monotone
 from .sbal import SbalSkeleton
 
 GRID_CAP = 3
@@ -40,24 +39,6 @@ def _shift(m: RationalFn) -> Tuple[RationalFn, Fraction]:
     """The canonical shift (m + r, r) with r = max(0, -min m)."""
     r = max(Fraction(0), -m.min_value())
     return m + r, r
-
-
-def q_decompose(skeleton: SbalSkeleton, m: RationalFn) -> Tuple[RationalFn, Fraction]:
-    """Write a signed member as a - r with a in the positive cone.
-
-    The canonical choice shifts by exactly the negative excursion of m.
-    Raises NotMonotone, a NotInSkeleton, when m is not in the shift
-    closure (that is, not monotone).
-    """
-    require_monotone(m, skeleton.order)
-    a, r = _shift(m)
-    skeleton.require_nonneg_member(a)
-    return a, r
-
-
-def q_contains(skeleton: SbalSkeleton, m: RationalFn) -> bool:
-    """Membership in the shift closure, decided through decomposition."""
-    return skeleton.contains_nonneg(_shift(m)[0])
 
 
 class PQRoundtripReport:
@@ -123,7 +104,6 @@ def roundtrip_pq(skeleton: SbalSkeleton) -> PQRoundtripReport:
             report.qp_mismatches.append({"fn": fn, "direct": direct, "qp": through_qp})
             if nonneg:
                 report.pq_mismatches.append({"fn": fn, "direct": direct, "pq": through_qp})
-        # When direct holds, q_decompose's two checks are direct and through_qp.
         if direct and a - r != m:
             report.recompose_failures.append({"fn": m.to_dict()["values"]})
     return report

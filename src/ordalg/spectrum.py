@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import rng as rngmod
-from .errors import NotAMorphism, TooLargeToEnumerate, UnknownElement
+from .errors import TooLargeToEnumerate
 from .fnalg import RationalFn, SubalgebraPartition, _Record
 from .order import FinitePoset, QuasiOrder, enumerate_monotone_maps
 from .proximity import ProximityOracle, combined_order
@@ -221,73 +221,6 @@ def phi_respects_proximity(space: FinitePoset, *, samples: int = 1000,
     return report
 
 
-class _AdjunctionContext:
-    """Spectral data shared by the legality checks of one (space, skeleton) pair.
-
-    The spectrum (with its combined order and canonical witnesses), the
-    space cone, and one probe list for one seed and sample count: the
-    canonical witnesses, then seeded relative-cone samples, as values on
-    the spectrum.
-    """
-
-    def __init__(self, space: FinitePoset, skeleton: SbalSkeleton, seed: int, samples: int):
-        self.spec = induced_order(concrete_envelope(skeleton),
-                                  ProximityOracle.from_skeleton(skeleton))
-        self.space_cone = SbalSkeleton(space)
-        rng = rngmod.rng_for(seed, "dual-morphism")
-        relative = SbalSkeleton(self.spec.base)
-        drawn = [relative.sample_member(rng) for _ in range(samples)]
-        self.probes = [phi(self.spec.algebra, s, self.spec).values
-                       for s in self.spec.witnesses + drawn]
-
-    def preserves_cone(self, point_map: Mapping[str, str]) -> bool:
-        """The cone route: each probe, pulled back along the point map, is reflexive."""
-        cone = self.space_cone
-        elements = cone.carrier
-        return all(cone.contains(RationalFn._make(elements, {x: v[point_map[x]] for x in elements}))
-                   for v in self.probes)
-
-
-def dual_morphism(point_map: Mapping[str, str], space: FinitePoset,
-                  skeleton: SbalSkeleton, *, seed: int = rngmod.DEFAULT_SEED,
-                  samples: int = 64) -> Dict[str, str]:
-    """Check a spectral point map presents a proximity-preserving morphism.
-
-    The morphism acts by ``f |-> phi(f) o point_map``, so the point map is
-    the morphism in spectral form.  Legality is decided two independent
-    ways and both must agree:
-
-    * structurally, the point map must be monotone from the space into the
-      spectral order (the canonical witnesses pull back monotone exactly
-      then), and
-    * by sampling, images of reflexive elements must stay reflexive, with
-      the canonical witnesses themselves always included in the sample.
-
-    Raises NotAMorphism when illegal, naming the first failing pair of the
-    space in ``sorted_pairs`` order; otherwise returns the point map.
-    """
-    ctx = _AdjunctionContext(space, skeleton, seed, samples)
-    spec_leq = ctx.spec.order.pairs
-    spec_labels = set(ctx.spec.order.elements)
-    for x in space.elements:
-        if point_map.get(x) not in spec_labels:
-            raise UnknownElement(f"point map sends {x!r} outside the spectrum",
-                                 {"element": x, "image": point_map.get(x)})
-
-    structural = all((point_map[x], point_map[y]) in spec_leq for x, y in space.cover_pairs)
-    sampled = ctx.preserves_cone(point_map)
-
-    if structural != sampled:
-        raise NotAMorphism("structural and sampled legality disagree",
-                           {"structural": structural, "sampled": sampled})
-    if not structural:
-        x, y = next((x, y) for x, y in space.sorted_pairs()
-                    if (point_map[x], point_map[y]) not in spec_leq)
-        raise NotAMorphism("point map is not monotone into the spectral order",
-                           {"pair": [x, y], "images": [point_map[x], point_map[y]]})
-    return dict(point_map)
-
-
 class AdjunctionReport:
     """Exhaustive match between space maps and algebra morphisms."""
 
@@ -321,13 +254,16 @@ def enumerate_adjunction(space: FinitePoset, skeleton: SbalSkeleton, *,
                          seed: int = rngmod.DEFAULT_SEED) -> AdjunctionReport:
     """Enumerate both hom-sets and verify the canonical correspondence.
 
-    Monotone maps from the space into the spectrum are the order route.
-    Candidate morphisms are all point maps; the cone route keeps those
-    whose pullback preserves reflexive elements (the canonical witnesses
-    and eight seeded samples), and the two hom-sets must be equal.
-    Naturality is decided exhaustively by :func:`_closed_under_endomaps`
-    on the cone-route hom-set.  Both sides are refused above
-    ADJUNCTION_CAP points before any spectrum is built.
+    A morphism is presented by its point map h into the spectrum, acting
+    by f |-> phi(f) o h.  Monotone maps from the space into the spectrum
+    are the order route.  Candidate morphisms are all point maps; the cone
+    route keeps each h whose pullback keeps every probe reflexive on the
+    space.  The probes are the canonical witnesses, then eight samples
+    from the relative cone drawn from ``seed``, evaluated on the spectrum.
+    The two hom-sets must be equal.  Naturality is decided exhaustively
+    by :func:`_closed_under_endomaps` on the cone-route hom-set.  Both
+    sides are refused above ADJUNCTION_CAP points before any spectrum is
+    built.
     """
     spectrum_size = len(skeleton.order.equiv_blocks())
     if len(space.elements) > ADJUNCTION_CAP or spectrum_size > ADJUNCTION_CAP:
@@ -335,13 +271,23 @@ def enumerate_adjunction(space: FinitePoset, skeleton: SbalSkeleton, *,
             f"adjunction enumeration is capped at {ADJUNCTION_CAP} points per side",
             {"space": len(space.elements), "spectrum": spectrum_size,
              "cap": ADJUNCTION_CAP})
-    ctx = _AdjunctionContext(space, skeleton, seed, 8)
-    spec = ctx.spec
+    spec = induced_order(concrete_envelope(skeleton), ProximityOracle.from_skeleton(skeleton))
+    # The label fixes the sampled stream: renaming it changes every probe sample.
+    rng = rngmod.rng_for(seed, "dual-morphism")
+    relative = SbalSkeleton(spec.base)
+    drawn = [relative.sample_member(rng) for _ in range(8)]
+    probes = [phi(spec.algebra, s, spec).values for s in spec.witnesses + drawn]
+    space_cone = SbalSkeleton(space)
+    elements = space.elements
     spec_poset = spec.as_poset()
     monotone_maps = enumerate_monotone_maps(space, spec_poset)
-    candidates = (dict(zip(space.elements, images))
-                  for images in itertools.product(spec_poset.elements, repeat=len(space.elements)))
-    morphisms = [h for h in candidates if ctx.preserves_cone(h)]
+    morphisms = []
+    for images in itertools.product(spec_poset.elements, repeat=len(elements)):
+        h = dict(zip(elements, images))
+        # The cone route: every probe, pulled back along h, is in the space cone.
+        if all(space_cone.contains(RationalFn._make(elements, {x: v[h[x]] for x in elements}))
+               for v in probes):
+            morphisms.append(h)
     # theta(alpha_h) = alpha_h* o eta sends x to alpha_h^-1(M_x) = M_h(x), which
     # is h(x): with morphisms presented by their point maps, theta is the identity.
     theta = [(h, h) for h in morphisms]

@@ -5,13 +5,17 @@ Exit status contract: 0 all checks passed, 1 a mathematical check failed
 byte-identical across runs with the same inputs and seed.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordalg.approx import DIEUDONNE_STEP_CAP
 from ordalg import QuasiOrder, RationalFn, SubalgebraPartition
@@ -159,6 +163,19 @@ def test_malformed_json_is_input_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json", encoding="utf-8")
     assert run("validate", "--poset", str(path)).returncode == 2
+
+
+@pytest.mark.parametrize("content, error", [
+    (b'{"elements": ["p\xff"], "leq": []}', "is not valid JSON: 'utf-8' codec can't decode"),
+    (b"[" * 200_000 + b"]" * 200_000, "nests JSON too deeply to read"),
+    (b'{"elements": ["p"], "leq": [], "n": ' + b"9" * 5000 + b"}",
+     "is not valid JSON: Exceeds the limit (4300 digits)"),
+], ids=["non-utf8", "deep", "long-integer"])
+def test_unreadable_documents_are_input_errors(tmp_path, capsys, content, error):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["validate", "--poset", str(path)]) == 2
+    assert error in capsys.readouterr().out.splitlines()[0]
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -604,3 +621,102 @@ def test_algebra_and_generators_accept_permuted_carriers(docs):
               "--direction", "upper")
     assert res.returncode == 0
     assert payload(res.stdout)["envelope"]["values"] == {"p": "1", "q": "1"}
+
+
+# -- document fuzzing -----------------------------------------------------
+
+ALGEBRA = {"carrier": ["p", "q"], "blocks": [["p"], ["q"]]}
+# Keep every command small: a valid document must run its check in milliseconds.
+SMALL = {"axioms": ["--samples", "2"], "roundtrip": ["--samples", "2"],
+         "dieudonne": ["--steps", "2"]}
+# Each kind of document, valid, and every command that reads it; "DOC" is the
+# mutated document, the other files stay valid.
+FUZZ_KINDS = {
+    "order": (CHAIN2, [
+        ["validate", "--poset", "DOC"],
+        ["envelope", "--poset", "DOC", "--function", "f01", "--direction", "upper"],
+        ["roundtrip", "--poset", "DOC"],
+        ["sw-approx", "--poset", "DOC", "--function", "f01", "--eps", "1/4"],
+        ["adjunction", "--poset", "DOC"],
+        ["pq-roundtrip", "--poset", "DOC"]]),
+    "function": (F01, [
+        ["envelope", "--poset", "chain2", "--function", "DOC", "--direction", "lower"],
+        ["prox", "--skeleton", "skel", "--left", "DOC", "--right", "f01"],
+        ["sw-approx", "--poset", "chain2", "--function", "DOC", "--eps", "1/4"],
+        ["dieudonne", "--skeleton", "skel", "--left", "DOC", "--right", "f01"]]),
+    "quasiorder": (SKEL, [[c, "--skeleton", "DOC", *extra]
+                          for c, extra in SKELETON_COMMANDS.items()]),
+    "generators": (GENS, [[c, "--skeleton", "DOC", *extra]
+                          for c, extra in SKELETON_COMMANDS.items()]),
+    "algebra": (ALGEBRA, [["spectrum", "--skeleton", "skel", "--algebra", "DOC"],
+                          ["induced-order", "--skeleton", "skel", "--algebra", "DOC"]]),
+}
+
+# Values a document may hold, by mistake or not: rationals that are huge, have a
+# zero denominator or are not canonical, labels and label lists, and any JSON
+# scalar.  The labels and lists keep some mutants valid, or failing a check.
+NEAR_MISSES = ["0", "-3", "1/2", "1/0", "0/0", "2/-4", " 1", "1.5", "1e3", "p", "q", "x", "",
+               "9" * 4000, "1/" + "7" * 4000, "9" * 5000, ["q", "p"], [["q", "p"]], [["p"]],
+               {"p": "1", "q": "0"}]
+JSON_VALUES = st.sampled_from(NEAR_MISSES) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(NEAR_MISSES),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["elements", "leq", "carrier", "values", "blocks", "quasiorder",
+                         "generators", "p", "q"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def json_paths(node, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(node, path, value):
+    """A copy of ``node`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name, doc in {"chain2": CHAIN2, "f01": F01, "f10": F10, "skel": SKEL}.items():
+        files[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    files["DOC"] = str(root / "doc.json")
+    return files
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_no_document_escapes_as_a_traceback(fuzz_files, data):
+    """One JSON node of a valid document replaced by any JSON value.
+
+    Every command that reads that kind of document runs in-process: no
+    exception escapes, the exit code is 0, 1 or 2, and exit 1 prints a FAIL
+    line.  The 120 examples run about 750 commands.
+    """
+    kind = data.draw(st.sampled_from(sorted(FUZZ_KINDS)))
+    doc, commands = FUZZ_KINDS[kind]
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    mutated = replaced(doc, path, data.draw(JSON_VALUES))
+    with open(fuzz_files["DOC"], "w", encoding="utf-8") as fh:
+        json.dump(mutated, fh)
+    for command in commands:
+        argv = [fuzz_files.get(arg, arg) for arg in command] + SMALL.get(command[0], [])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert any(line.startswith(("FAIL: ", f"{command[0]}: FAIL"))
+                       for line in out.getvalue().splitlines()), argv

@@ -9,24 +9,10 @@ from hypothesis import strategies as st
 
 from ordalg import (CarrierMismatch, EmptyCarrier, NotBlockConstant,
                     RationalFn, SubalgebraPartition, UnknownElement,
-                    as_fraction, chain, check_carrier,
-                    generate_closed_subalgebra, monotone_envelope)
+                    as_fraction, chain, check_carrier, monotone_envelope)
 from ordalg.rng import rng_for, sample_values
 
 CARRIER = ("p", "q", "r")
-
-
-def all_partitions(items):
-    """Every set partition, blocks and block lists in carrier order."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for sub in all_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[head] + sub[i]] + sub[i + 1:]
-        yield [[head]] + sub
 
 
 def fn(**values):
@@ -179,8 +165,7 @@ def test_different_label_sets_raise(other):
     for call in (lambda: check_carrier(other, CARRIER), lambda: a.on(other),
                  lambda: a.on(("p", "q", "r", "r")),
                  lambda: a + b, lambda: b.le(a),
-                 lambda: SubalgebraPartition.discrete(other).contains(a),
-                 lambda: generate_closed_subalgebra([a, b])):
+                 lambda: SubalgebraPartition.discrete(other).contains(a)):
         with pytest.raises(CarrierMismatch) as err:
             call()
         assert set(err.value.details) == {"expected", "found"}
@@ -198,6 +183,7 @@ def test_permuted_carrier_is_the_same_carrier():
     assert a + b == b + a == b.scale(2)
     assert a.le(b) and b.le(a) and a.ge(b)
     assert a.join(b.scale(2)) == b.scale(2)
+    assert SubalgebraPartition.discrete(("r", "p", "q")).contains(a)
 
 
 def test_hash_and_dict_roundtrip():
@@ -252,40 +238,6 @@ def test_partition_membership():
     with pytest.raises(NotBlockConstant) as err:
         part.require_member(outside)
     assert err.value.details["block"] == ["p", "q"]
-
-
-def test_generate_closed_subalgebra_against_all_partitions():
-    """The kernel partition is the coarsest one keeping generators constant."""
-    rng = rng_for(23, "kernel")
-    carrier = ("p", "q", "r", "s")
-    for trial in range(25):
-        gens = [RationalFn(carrier, sample_values(rng, carrier))
-                for _ in range(1 + trial % 3)]
-        got = generate_closed_subalgebra(gens)
-        valid = []
-        for blocks in all_partitions(carrier):
-            part = SubalgebraPartition(carrier, tuple(tuple(b) for b in blocks))
-            if all(part.contains(g) for g in gens):
-                valid.append(part)
-        assert got in valid
-        # every valid partition refines the kernel partition
-        assert all(set(b) <= set(got.block_of(b[0])) for p in valid for b in p.blocks)
-
-
-def test_generate_closed_subalgebra_edges():
-    assert generate_closed_subalgebra([], CARRIER) == SubalgebraPartition.indiscrete(CARRIER)
-    with pytest.raises(EmptyCarrier):
-        generate_closed_subalgebra([])
-    a = fn(p=0, q=0, r=1)
-    assert generate_closed_subalgebra([a]).blocks == (("p", "q"), ("r",))
-
-
-def test_generate_closed_subalgebra_on_permuted_carriers():
-    a = RationalFn(("q", "p"), {"p": 0, "q": 1})
-    b = RationalFn(("p", "q"), {"p": 0, "q": 0})
-    assert generate_closed_subalgebra([a, b]) == SubalgebraPartition.discrete(("q", "p"))
-    assert generate_closed_subalgebra([b, a]) == SubalgebraPartition.discrete(("p", "q"))
-    assert SubalgebraPartition.discrete(("p", "q")).contains(a)
 
 
 def test_partition_serialization():

@@ -1,13 +1,19 @@
-"""Every import in the package and the tests is used, and the CLI starts lean.
+"""Every import in the package and the tests is used, every export is read,
+and the CLI starts lean.
 
 A deletion that leaves an import behind fails here.  The package's
-``__init__`` is exempt: its imports are the public exports.
+``__init__`` is exempt: its imports are the public exports, and each of
+those must have a reader outside ``tests/``.
 """
 
 import ast
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import ordalg
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = sorted(p for folder in (ROOT / "src" / "ordalg", ROOT / "tests")
@@ -37,6 +43,36 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(CHECKED) > 10
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text()) for p in CHECKED}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def loaded_names(source: str) -> set:
+    """Names and attributes the source reads; definitions, strings and prose do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_loaded_names_skip_definitions_and_strings():
+    source = 'def f(x):\n    """q_decompose"""\n    y = "antichain"\n    return chain(x).leq\n'
+    assert loaded_names(source) == {"chain", "leq", "x"}
+
+
+def test_every_export_has_a_reader():
+    """Each name in ``ordalg.__all__`` but the submodules is read by a module of the package
+    other than ``__init__``, by ``bench/*.py`` or by the README's ``## Library`` example."""
+    library = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    read = loaded_names(re.search(r"```python\n(.*?)```", library, re.S).group(1))
+    for path in [*(ROOT / "src" / "ordalg").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        if path.name != "__init__.py":
+            read |= loaded_names(path.read_text(encoding="utf-8"))
+    exports = {name for name in ordalg.__all__
+               if not isinstance(getattr(ordalg, name), types.ModuleType)}
+    assert len(exports) > 50
+    assert sorted(exports - read) == []
 
 
 # Modules the CLI's verdicts do not need: dataclasses (which pulls in

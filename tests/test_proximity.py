@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ordalg import (CarrierMismatch, FinitePoset, ProximityOracle,
-                    QuasiOrder, RationalFn, SbalSkeleton, antichain, chain,
+                    QuasiOrder, RationalFn, SbalSkeleton, chain,
                     check_axioms, combined_order, complete_quasi_order,
                     is_nachbin, monotone_envelope, positive_below,
                     prox_decide, separation_point)
@@ -165,7 +165,7 @@ def test_r2_witness_checks_the_carrier():
     ProximityOracle.r2(),
     ProximityOracle.from_order(chain("abc")),
     ProximityOracle.from_order(VEE),
-    ProximityOracle.from_order(antichain("ab")),
+    ProximityOracle.from_order(FinitePoset("ab")),
     ProximityOracle.from_order(complete_quasi_order("abc")),
 ], ids=["r2", "chain3", "vee", "antichain2", "complete3"])
 def test_axiom_suite_passes(oracle):
@@ -184,7 +184,7 @@ def test_axiom_suite_deterministic():
 def test_p11_fails_exactly_when_a_strict_pair_exists():
     """-(monotone) is not monotone along a strict pair; otherwise P11 holds."""
     failing = [chain("ab"), chain("abc"), VEE]
-    holding = [antichain("ab"), antichain("abc")]
+    holding = [FinitePoset("ab"), FinitePoset("abc")]
     for order in failing:
         report = check_axioms(ProximityOracle.from_order(order), samples=150,
                               seed=14, include_devries=True)
@@ -215,7 +215,7 @@ def test_p12_reporting():
     r2_report = check_axioms(ProximityOracle.r2(), samples=150, seed=15,
                              include_devries=True)
     assert not r2_report.result("P12").passed
-    free = check_axioms(ProximityOracle.from_order(antichain("abc")),
+    free = check_axioms(ProximityOracle.from_order(FinitePoset("abc")),
                         samples=150, seed=15, include_devries=True)
     assert free.result("P12").passed
 

@@ -11,7 +11,7 @@ import pytest
 
 from ordalg import (AxiomReport, AxiomResult, EnvelopePair, FamilyMember, MaxIdeal,
                     PQRoundtripReport, ProximityOracle, QuasiOrder, RationalFn, SWGrid,
-                    SbalSkeleton, SubalgebraPartition, chain)
+                    SbalSkeleton, SubalgebraPartition, chain, enumerate_posets)
 
 F = RationalFn("pq", {"p": 0, "q": 1})
 
@@ -62,7 +62,8 @@ def test_immutable_values_have_no_instance_dict():
     """The shared base declares empty slots, so no subclass instance grows a __dict__."""
     order = QuasiOrder("pq", [("p", "q")])
     skeleton = SbalSkeleton(order)
-    values = [order, skeleton, ProximityOracle.from_order(chain("pq")), F,
+    values = [order, chain("pq"), enumerate_posets(3)[0], skeleton,
+              ProximityOracle.from_order(chain("pq")), F,
               EnvelopePair(skeleton, F, RationalFn.zero("pq"))]
     values += [build() for build, _ in RECORDS.values()]
     for value in values:

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordalg import (CarrierMismatch, EnvelopePair, NotAMorphism,
-                    NotInSkeleton, NotMonotone, NotRepresentable, QuasiOrder, RationalFn,
-                    SbalSkeleton, chain, check_skeleton_axioms,
-                    complete_quasi_order, concrete_envelope,
-                    difference_decompose, envelope_umt, monotone_envelope,
+from ordalg import (EnvelopePair, NotAMorphism, NotInSkeleton, NotMonotone,
+                    QuasiOrder, RationalFn, SbalSkeleton, chain,
+                    check_skeleton_axioms, complete_quasi_order,
+                    concrete_envelope, envelope_umt, monotone_envelope,
                     posets_up_to)
 from ordalg.order import FinitePoset
 from ordalg.rng import rng_for, sample_nonneg_scalar
@@ -202,48 +201,29 @@ def test_envelope_umt_rejects_non_morphism():
         envelope_umt(lambda a: a.scale(2), p, seed=5)
 
 
-def test_difference_decompose_cases():
-    s = sk(chain("abc"))
-    mono = RationalFn("abc", {"a": 0, "b": 1, "c": 1})
-    f, g = difference_decompose(s, mono)
-    assert (f, g) == (mono, s.zero())
-    wavy = RationalFn("abc", {"a": 1, "b": 0, "c": 2})
-    f, g = difference_decompose(s, wavy)
-    assert s.contains(f) and s.contains(g)
-    assert f - g == wavy
-    with pytest.raises(CarrierMismatch):
-        difference_decompose(s, RationalFn(("x",), {"x": 0}))
+def rank_difference(order, h):
+    """The rank construction: h = f - g with g = M * rank and f = h + g.
 
-
-@pytest.mark.parametrize("values", [{"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 0, "c": 2}],
-                         ids=["member", "wavy"])
-def test_difference_decompose_on_a_permuted_carrier(values):
-    s = sk(chain("abc"))
-    h = RationalFn("cab", values)
-    f, g = difference_decompose(s, h)
-    assert f.carrier == g.carrier == s.carrier
-    assert f - g == h
-
-
-def test_difference_decompose_respects_equivalence():
-    loop = QuasiOrder("abc", [("a", "b"), ("b", "a")])
-    s = sk(loop)
-    bad = RationalFn("abc", {"a": 0, "b": 1, "c": 0})
-    with pytest.raises(NotRepresentable) as err:
-        difference_decompose(s, bad)
-    assert err.value.details["block"] == ["a", "b"]
-    ok = RationalFn("abc", {"a": 1, "b": 1, "c": 0})
-    f, g = difference_decompose(s, ok)
-    assert f - g == ok and s.contains(f) and s.contains(g)
+    rank(x) is the size of x's downset and M = (max h - min h) + 1.  Along a
+    strict pair x < y the downset of x lies inside that of y and misses y,
+    so rank rises by at least 1 and f by at least M - (max h - min h) = 1.
+    Two-way equivalent points share a downset, so f and g are monotone
+    whenever h is constant on each two-way class.
+    """
+    rank = RationalFn(order.elements, {x: len(order.downset(x)) for x in order.elements})
+    g = rank.scale(h.max_value() - h.min_value() + 1)
+    return h + g, g
 
 
 def test_difference_decompose_exhaustively_on_small_orders():
     """Every poset up to 3 points and three 3-point quasi-orders, values k/2 in [-1, 1].
 
-    Each h that is constant on the two-way classes decomposes into cone
-    members f - g; every other h is refused.  The count of h that are
-    decomposable but not themselves members pins the general construction,
-    on two-way classes too.
+    ``concrete_envelope`` claims the formal differences of cone members are
+    exactly the block-constant functions.  Each block-constant h is f - g
+    for the cone members the rank construction gives; every other h splits
+    a two-way pair, on which every difference of members is constant.  The
+    count of block-constant h that are not themselves members pins the
+    construction, on two-way classes too.
     """
     orders = posets_up_to(3) + [QuasiOrder("abc", [("a", "b"), ("b", "a")]),
                                 QuasiOrder("abc", [("a", "b"), ("b", "a"), ("b", "c")]),
@@ -252,13 +232,15 @@ def test_difference_decompose_exhaustively_on_small_orders():
     decomposed = general = 0
     for order in orders:
         s = sk(order)
+        envelope = concrete_envelope(s)
         for values in itertools.product(grid, repeat=len(order.elements)):
             h = RationalFn(order.elements, dict(zip(order.elements, values)))
-            if any(len({h.values[x] for x in block}) > 1 for block in order.equiv_blocks()):
-                with pytest.raises(NotRepresentable):
-                    difference_decompose(s, h)
+            split = any(order.leq(x, y) and order.leq(y, x) and h(x) != h(y)
+                        for x in order.elements for y in order.elements)
+            assert envelope.contains(h) is not split
+            if split:
                 continue
-            f, g = difference_decompose(s, h)
+            f, g = rank_difference(order, h)
             assert s.contains(f) and s.contains(g) and f - g == h
             decomposed += 1
             general += not s.contains(h)
